@@ -1,7 +1,8 @@
 //! §4.4 + §5 "Performance summary" — batch update cost, IF vs OIF —
-//! plus the concurrent write path: B⁺-tree batch-insert throughput at
-//! 1/2/4/8 writers (optimistic lock coupling, `set_concurrent_writes`)
-//! and a 90/10 mixed read-write leg. Prints one table row per point
+//! plus the B⁺-tree write path: durable batch-insert throughput at
+//! 1/2/4/8 writer threads sharing one tree behind a `Mutex` (one writer
+//! in the tree at a time, commits overlapping through group commit) and
+//! a 90/10 mixed read-write leg behind an `RwLock`. Prints one table row per point
 //! and, when the `BENCH_JSON` environment variable names a file, writes
 //! the same rows as a JSON array (the CI workflow emits
 //! `BENCH_updates.json` this way).
@@ -18,6 +19,7 @@ use datagen::{Record, SyntheticSpec};
 use oif::{DeltaOif, OifConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 fn fresh_records(base: &datagen::Dataset, count: usize, seed: u64) -> Vec<Record> {
@@ -56,7 +58,6 @@ fn key(space: u64, i: u64) -> [u8; 8] {
 
 fn seeded_mem_tree(seed_entries: u64) -> btree::BTree {
     let pager = pagestore::Pager::with_cache_bytes(1 << 21);
-    pager.set_concurrent_writes(true);
     let mut t = btree::BTree::create(pager);
     for i in 0..seed_entries {
         t.insert(&key(0, i), &i.to_le_bytes()).unwrap();
@@ -64,14 +65,14 @@ fn seeded_mem_tree(seed_entries: u64) -> btree::BTree {
     t
 }
 
-/// B⁺-tree durable write throughput: N writer threads share one
-/// OLC-enabled tree on a `FileStorage` pool; each writer repeatedly
-/// batch-inserts a chunk of fresh hash-distributed keys and makes it
-/// durable with `group_sync`. The total insert count is fixed, so more
-/// writers win exactly as far as overlapping commits amortise barriers
-/// (group commit) and fsync stalls overlap with other writers' inserts
-/// — the same effect `bench --bench commit` isolates, here measured end
-/// to end through the tree's concurrent write path.
+/// B⁺-tree durable write throughput: N writer threads share one tree on
+/// a `FileStorage` pool behind a `Mutex`; each writer repeatedly
+/// batch-inserts a chunk of fresh hash-distributed keys under the lock
+/// and makes it durable with `group_sync` outside it. The total insert
+/// count is fixed, so more writers win exactly as far as overlapping
+/// commits amortise barriers (group commit) and fsync stalls overlap
+/// with other writers' inserts — the same effect `bench --bench commit`
+/// isolates, here measured end to end through the tree's write path.
 fn run_writers(writers: usize, rows: &mut Vec<Row>) {
     const SEED: u64 = 4_000;
     const ROUNDS_TOTAL: u64 = 24; // divisible by 1, 2, 4, 8
@@ -83,13 +84,12 @@ fn run_writers(writers: usize, rows: &mut Vec<Row>) {
     let _ = std::fs::remove_file(&path);
     let storage = pagestore::FileStorage::create(&path).expect("create pool file");
     let pager = pagestore::Pager::with_storage(storage, 1 << 21);
-    pager.set_concurrent_writes(true);
     let tree = {
         let mut t = btree::BTree::create(pager.clone());
         for i in 0..SEED {
             t.insert(&key(0, i), &i.to_le_bytes()).unwrap();
         }
-        t
+        Mutex::new(t)
     };
     pager.sync().expect("warm-up sync");
 
@@ -106,14 +106,17 @@ fn run_writers(writers: usize, rows: &mut Vec<Row>) {
                             (k.to_vec(), i.to_le_bytes().to_vec())
                         })
                         .collect();
-                    tree.try_batch_insert(&batch, 1).expect("batch insert");
+                    tree.lock()
+                        .unwrap()
+                        .try_batch_insert(&batch)
+                        .expect("batch insert");
                     pager.group_sync().expect("group sync");
                 }
             });
         }
     });
     let wall = t0.elapsed();
-    tree.check_invariants();
+    tree.into_inner().unwrap().check_invariants();
     let _ = std::fs::remove_file(&path);
     let inserts = ROUNDS_TOTAL * CHUNK;
     let kops = inserts as f64 / wall.as_secs_f64() / 1e3;
@@ -128,13 +131,13 @@ fn run_writers(writers: usize, rows: &mut Vec<Row>) {
 }
 
 /// 90/10 mixed leg: 4 threads, each interleaving 90 % point gets of
-/// seeded keys with 10 % fresh inserts, all on one shared in-memory OLC
-/// tree.
+/// seeded keys (read lock) with 10 % fresh inserts (write lock), all on
+/// one in-memory tree shared through an `RwLock`.
 fn run_mixed(rows: &mut Vec<Row>) {
     const SEED: u64 = 10_000;
     const THREADS: usize = 4;
     const OPS_PER_THREAD: u64 = 12_000;
-    let tree = seeded_mem_tree(SEED);
+    let tree = RwLock::new(seeded_mem_tree(SEED));
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for t in 0..THREADS as u64 {
@@ -143,10 +146,13 @@ fn run_mixed(rows: &mut Vec<Row>) {
                 for i in 0..OPS_PER_THREAD {
                     if i % 10 == 0 {
                         let k = key(2 + t, i);
-                        tree.try_insert(&k, &i.to_le_bytes()).expect("insert");
+                        tree.write()
+                            .unwrap()
+                            .try_insert(&k, &i.to_le_bytes())
+                            .expect("insert");
                     } else {
                         let k = key(0, splitmix(t << 20 | i) % SEED);
-                        let got = tree.try_get(&k).expect("get");
+                        let got = tree.read().unwrap().try_get(&k).expect("get");
                         assert!(got.is_some(), "lost seed record");
                     }
                 }
@@ -154,7 +160,7 @@ fn run_mixed(rows: &mut Vec<Row>) {
         }
     });
     let wall = t0.elapsed();
-    tree.check_invariants();
+    tree.into_inner().unwrap().check_invariants();
     let ops = THREADS as u64 * OPS_PER_THREAD;
     let kops = ops as f64 / wall.as_secs_f64() / 1e3;
     println!("mixed 90r/10w t{THREADS} | {ops:>6} ops     | {wall:>9.2?} | {kops:>8.1} kops/s");
@@ -231,7 +237,7 @@ fn main() {
     }
     println!("\npaper: OIF updates 3-5x slower than IF, both linear in batch size");
 
-    println!("\nconcurrent write path (OLC + group commit, fresh hashed keys):");
+    println!("\nB+-tree write path (one writer in the tree + group commit, fresh hashed keys):");
     let mut rows = Vec::new();
     for writers in [1usize, 2, 4, 8] {
         run_writers(writers, &mut rows);

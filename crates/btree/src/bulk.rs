@@ -132,7 +132,7 @@ impl BulkLoader {
             let page = self.pager.try_allocate_page(self.file)?;
             self.pager
                 .try_write_page(self.file, page, &Node::empty_leaf().encode())?;
-            return Ok(BTree::from_parts(self.pager, self.file, page, 1, 0));
+            return Ok(BTree::open(self.pager, self.file, page, 1, 0));
         }
         // Stack internal levels until a single root remains.
         let mut level: Vec<(Vec<u8>, PageId)> = std::mem::take(&mut self.finished);
@@ -161,9 +161,7 @@ impl BulkLoader {
             height += 1;
         }
         let root = level[0].1;
-        Ok(BTree::from_parts(
-            self.pager, self.file, root, height, self.len,
-        ))
+        Ok(BTree::open(self.pager, self.file, root, height, self.len))
     }
 
     fn try_flush_internal(

@@ -6,22 +6,15 @@
 //! access pattern: a descending seek (random page accesses, one per level)
 //! followed by next-leaf walks (mostly sequential accesses).
 //!
-//! With the pool's concurrent write path **off** (the default), the cursor
-//! holds a [`PageGuard`] pinning its current leaf in the buffer pool and
-//! yields entries as `(&[u8], &[u8])` sliced straight out of the page
-//! ([`Cursor::peek`] / [`Cursor::advance`]) — no per-entry allocation, no
-//! page copy. The pin is always released *before* the next page is fetched
-//! (leaf hop or re-seek), so the buffer pool never has to evict around a
-//! pin on this path and the page-access counts stay exactly what they were
-//! under the historical decode-everything cursor.
-//!
-//! With it **on**, borrowed frame bytes could tear under a latched writer,
-//! so the cursor instead works from a seqlock-validated **snapshot** of
-//! each leaf (one page copy per leaf, reusing one buffer): the descent is
-//! version-validated with restarts, and leaf hops follow the snapshot's
-//! next pointer. Splits only move keys rightward and the halved leaf
-//! publishes its new next pointer atomically with the halving, so a
-//! snapshot chain never misses a key that was present for the whole scan.
+//! The cursor holds a [`PageGuard`] pinning its current leaf in the buffer
+//! pool and yields entries as `(&[u8], &[u8])` sliced straight out of the
+//! page ([`Cursor::peek`] / [`Cursor::advance`]) — no per-entry allocation,
+//! no page copy. The pin is always released *before* the next page is
+//! fetched (leaf hop or re-seek), so the buffer pool never has to evict
+//! around a pin on this path and the page-access counts stay exactly what
+//! they were under the historical decode-everything cursor. A cursor
+//! borrows its tree, and tree writes take `&mut self`, so no page a cursor
+//! has pinned can change under it.
 //!
 //! The `Iterator` impl (owned `(Vec<u8>, Vec<u8>)` pairs) remains for
 //! consumers that want to hold entries across page hops.
@@ -32,24 +25,14 @@
 //! the basis of parallel query evaluation in the index crates.
 
 use crate::node::{NodeRef, OffsetTable};
-use crate::tree::{BTree, Descent};
-use pagestore::{PageError, PageGuard, PAGE_SIZE};
-
-/// How the cursor holds its current leaf.
-enum LeafView {
-    /// Exhausted: no current leaf.
-    None,
-    /// Default mode: a pin on the buffer-pool frame, bytes borrowed.
-    Pinned(PageGuard),
-    /// Concurrent mode: an owned, seqlock-consistent snapshot.
-    Snap(Box<[u8; PAGE_SIZE]>),
-}
+use crate::tree::BTree;
+use pagestore::{PageError, PageGuard};
 
 /// A forward cursor over a [`BTree`]'s entries in key order.
 pub struct Cursor<'t> {
     tree: &'t BTree,
-    /// The current leaf; `LeafView::None` when exhausted.
-    leaf: LeafView,
+    /// A pin on the current leaf's frame; `None` when exhausted.
+    leaf: Option<PageGuard>,
     /// Entry offsets of the current leaf.
     table: OffsetTable,
     /// Index of the next entry to return within the current leaf.
@@ -97,22 +80,8 @@ impl<'t> Cursor<'t> {
         before: &impl Fn(&[u8]) -> bool,
         touch_leaf_again: bool,
     ) -> Result<Self, PageError> {
-        if tree.pager().concurrent_writes() {
-            return Self::try_descend_olc(tree, before);
-        }
         let mut table = OffsetTable::new();
-        let mut page = tree.root();
-        let guard = loop {
-            let guard = tree.try_pin_node(page)?;
-            let node = NodeRef::new(guard.bytes());
-            if node.is_leaf() {
-                break guard;
-            }
-            node.fill_offsets(&mut table);
-            let idx = node.partition_point(&table, before).min(node.count() - 1);
-            page = node.child(&table, idx);
-            // Guard drops here, before the child fetch.
-        };
+        let (page, guard) = tree.try_descend(before, &mut table)?;
         if touch_leaf_again {
             tree.try_touch_node(page)?;
         }
@@ -121,45 +90,12 @@ impl<'t> Cursor<'t> {
         let idx = node.partition_point(&table, before);
         let mut cursor = Cursor {
             tree,
-            leaf: LeafView::Pinned(guard),
+            leaf: Some(guard),
             table,
             idx,
         };
         cursor.try_skip_exhausted_leaves()?;
         Ok(cursor)
-    }
-
-    /// Concurrent-mode seek: version-validated optimistic descent (restart
-    /// on any failed check) ending with a consistent snapshot of the leaf.
-    /// No historical double-touch — page-access counts are not a contract
-    /// of the opt-in concurrent mode.
-    fn try_descend_olc(
-        tree: &'t BTree,
-        before: &impl Fn(&[u8]) -> bool,
-    ) -> Result<Self, PageError> {
-        let mut snap = BTree::page_buf();
-        while let Descent::Restart = tree.olc_descend(before, &mut snap)? {}
-        let mut table = OffsetTable::new();
-        let node = NodeRef::new(&snap[..]);
-        node.fill_offsets(&mut table);
-        let idx = node.partition_point(&table, before);
-        let mut cursor = Cursor {
-            tree,
-            leaf: LeafView::Snap(snap),
-            table,
-            idx,
-        };
-        cursor.try_skip_exhausted_leaves()?;
-        Ok(cursor)
-    }
-
-    /// Bytes of the current leaf, whichever way it is held.
-    fn leaf_bytes(&self) -> Option<&[u8]> {
-        match &self.leaf {
-            LeafView::None => None,
-            LeafView::Pinned(guard) => Some(guard.bytes()),
-            LeafView::Snap(snap) => Some(&snap[..]),
-        }
     }
 
     /// Advance past leaves whose remaining entries are exhausted (including
@@ -175,50 +111,32 @@ impl<'t> Cursor<'t> {
     /// there is no half-positioned state to misread.
     fn try_skip_exhausted_leaves(&mut self) -> Result<(), PageError> {
         loop {
-            let Some(bytes) = self.leaf_bytes() else {
+            let Some(guard) = &self.leaf else {
                 return Ok(());
             };
-            let node = NodeRef::new(bytes);
+            let node = NodeRef::new(guard.bytes());
             if self.idx < node.count() {
                 return Ok(());
             }
             let next = node.next_leaf();
-            // Release the pin (or recycle the snapshot buffer) before
-            // fetching the next leaf so eviction never has to work around
-            // this cursor.
-            let prev = std::mem::replace(&mut self.leaf, LeafView::None);
-            match next {
-                None => return Ok(()),
-                Some(p) => {
-                    match prev {
-                        LeafView::Snap(mut buf) => {
-                            self.tree.try_snapshot_leaf(p, &mut buf)?;
-                            NodeRef::new(&buf[..]).fill_offsets(&mut self.table);
-                            self.leaf = LeafView::Snap(buf);
-                        }
-                        pinned => {
-                            // Drop the pin *before* the fetch: eviction
-                            // must never have to work around the leaf we
-                            // just left (it would pick a different victim
-                            // and drift the page-access counts).
-                            drop(pinned);
-                            let guard = self.tree.try_pin_node(p)?;
-                            NodeRef::new(guard.bytes()).fill_offsets(&mut self.table);
-                            self.leaf = LeafView::Pinned(guard);
-                        }
-                    }
-                    self.idx = 0;
-                }
-            }
+            // Drop the pin *before* the fetch: eviction must never have to
+            // work around the leaf we just left (it would pick a different
+            // victim and drift the page-access counts).
+            self.leaf = None;
+            let Some(p) = next else {
+                return Ok(());
+            };
+            let guard = self.tree.try_pin_node(p)?;
+            NodeRef::new(guard.bytes()).fill_offsets(&mut self.table);
+            self.leaf = Some(guard);
+            self.idx = 0;
         }
     }
 
     /// Borrow the current entry without advancing. The slices point into
-    /// the pinned page (or the leaf snapshot) and stay valid until the
-    /// cursor moves or drops.
+    /// the pinned page and stay valid until the cursor moves or drops.
     pub fn peek(&self) -> Option<(&[u8], &[u8])> {
-        let bytes = self.leaf_bytes()?;
-        let node = NodeRef::new(bytes);
+        let node = NodeRef::new(self.leaf.as_ref()?.bytes());
         if self.idx < self.table.len() {
             Some(node.leaf_entry(&self.table, self.idx))
         } else {
@@ -228,7 +146,7 @@ impl<'t> Cursor<'t> {
 
     /// Step past the current entry (no-op when exhausted).
     pub fn advance(&mut self) {
-        if !matches!(self.leaf, LeafView::None) {
+        if self.leaf.is_some() {
             self.idx += 1;
             self.skip_exhausted_leaves();
         }
@@ -238,7 +156,7 @@ impl<'t> Cursor<'t> {
     /// hop surfaces as its typed [`PageError`] and leaves the cursor
     /// exhausted (never mispositioned).
     pub fn try_advance(&mut self) -> Result<(), PageError> {
-        if !matches!(self.leaf, LeafView::None) {
+        if self.leaf.is_some() {
             self.idx += 1;
             self.try_skip_exhausted_leaves()?;
         }
@@ -413,23 +331,5 @@ mod tests {
             t.insert(&i.to_be_bytes(), &[7u8; 16]).unwrap();
         }
         assert_eq!(t.scan().count(), 2000);
-    }
-
-    #[test]
-    fn olc_cursor_scan_and_seek_match_default_mode() {
-        let pager = Pager::with_cache_bytes(1 << 20);
-        pager.set_concurrent_writes(true);
-        let t = BTree::create(pager);
-        for i in 0..3000u32 {
-            t.try_insert(&i.to_be_bytes(), &(i * 2).to_be_bytes())
-                .unwrap();
-        }
-        let snap_mode: Vec<_> = t.scan().collect();
-        t.pager().set_concurrent_writes(false);
-        let pinned_mode: Vec<_> = t.scan().collect();
-        assert_eq!(snap_mode, pinned_mode);
-        t.pager().set_concurrent_writes(true);
-        let c = t.seek(&123u32.to_be_bytes());
-        assert_eq!(c.peek().unwrap().0, 123u32.to_be_bytes());
     }
 }

@@ -11,11 +11,14 @@
 //!   internal      : key_len u16 | child page id u64 | key
 //! ```
 //!
-//! Two views share this layout:
+//! Two views share this layout, plus a set of in-place leaf editors:
 //!
-//! * [`Node`] — owned decode, used by the **write path** (insert, remove,
-//!   split, bulk load): mutation re-encodes the whole page anyway, so the
-//!   simple owned form costs nothing extra there.
+//! * [`Node`] — owned decode, used by the **structural write path** (the
+//!   recursive split path and the bulk loader): those rewrite whole pages
+//!   anyway, so the simple owned form costs nothing extra there.
+//! * [`leaf_insert_at`] / [`leaf_replace_at`] / [`leaf_remove_at`] — edit a
+//!   leaf page's bytes in place for inserts, overwrites and removes that
+//!   change nothing above the leaf, touching only the shifted tail.
 //! * [`NodeRef`] — a lazy **read-path** view over the raw page bytes (as
 //!   borrowed from a pinned buffer-pool frame). It materialises nothing:
 //!   an [`OffsetTable`] of entry positions is built in one header-hopping
@@ -68,11 +71,6 @@ impl Node {
             entries: Vec::new(),
             next: None,
         }
-    }
-
-    #[allow(dead_code)]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
     }
 
     /// Encoded size in bytes.
@@ -259,9 +257,8 @@ pub(crate) fn leaf_used_bytes(data: &[u8], table: &OffsetTable) -> usize {
 /// In-place leaf edit: insert `key`/`value` as entry `i`, shifting the tail
 /// right. The caller has checked the fit ([`leaf_used_bytes`] plus the new
 /// entry ≤ [`PAGE_SIZE`]) and that `i` is the key's sorted position. These
-/// editors are the concurrent write path's alternative to decoding the page
-/// into an owned [`Node`] and re-encoding it whole: under a frame latch the
-/// edit touches only the shifted suffix.
+/// editors are the alternative to decoding the page into an owned [`Node`]
+/// and re-encoding it whole: the edit touches only the shifted suffix.
 pub(crate) fn leaf_insert_at(
     data: &mut [u8; PAGE_SIZE],
     table: &OffsetTable,

@@ -1,24 +1,24 @@
 //! The B⁺-tree proper: lookups, inserts with split propagation, deletes.
 //!
-//! # Write paths
+//! # One writer, zero-copy readers
 //!
-//! Two write paths share the on-page layout:
+//! Reads ([`BTree::try_get`], the cursors) take `&self` and descend over
+//! pinned pages, borrowing node bytes straight out of the buffer pool. Any
+//! number of threads may read one tree at once.
 //!
-//! * **Serial** (the default): the historical owned-decode path — read the
-//!   node, mutate the owned [`Node`], re-encode the whole page. Page-access
-//!   order is bit-for-bit what it has always been, which keeps the paper's
-//!   golden page counts reproducible.
-//! * **Concurrent** (opt-in via
-//!   [`Pager::set_concurrent_writes`](pagestore::Pager::set_concurrent_writes)):
-//!   optimistic lock coupling. Writers descend with version-validated
-//!   optimistic snapshots (restart on version change), latch only the leaf
-//!   at the mutation frontier, and edit it **in place** through the
-//!   [`OffsetTable`] view. Structure modifications (splits, root growth,
-//!   separator growth) serialise on a per-tree `smo` mutex and update
-//!   existing nodes top-down so every intermediate state a reader can
-//!   observe is a superset route; readers catch the rest by pairwise parent
-//!   validation plus a root-id recheck at the leaf. See DESIGN.md "Write
-//!   path & optimistic lock coupling".
+//! Writes take `&mut self`, so the borrow checker proves that no cursor or
+//! [`PageGuard`] of this tree is alive while a page changes — the guarantee
+//! the pinned read path rests on. Callers that want shared writers put the
+//! tree behind an `RwLock`.
+//!
+//! An insert first descends with pins, then edits the leaf **in place**
+//! ([`Pager::try_with_page_mut`]) when the key sorts strictly below the
+//! leaf's max key (or replaces an existing key) and the entry fits: no
+//! separator or sibling can change then. Every other insert takes the
+//! recursive split path, which writes fresh pages (split siblings, a new
+//! root) before any existing node and the existing nodes top-down, so a
+//! failed write never hides a key (see [`BTree::try_insert_split_path`]).
+//! Removes are merge-free in-place leaf edits.
 //!
 //! Every mutating operation has a fallible `try_` twin returning
 //! [`BTreeError::Page`] / [`PageError`] when the pool degrades read-only;
@@ -27,9 +27,7 @@
 use crate::node::{
     self, InternalEntry, LeafEntry, Node, NodeRef, OffsetTable, LEAF_ENTRY_HEADER, MAX_ENTRY_BYTES,
 };
-use pagestore::{FileId, PageError, PageGuard, PageId, Pager, VersionedPage, PAGE_SIZE};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use pagestore::{FileId, PageError, PageGuard, PageId, Pager, PAGE_SIZE};
 
 /// Errors returned by tree operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,45 +66,23 @@ impl From<PageError> for BTreeError {
     }
 }
 
-/// Fast-path restarts before an insert falls back to the serialised SMO
-/// path (which cannot starve: internals are stable under the `smo` lock).
-const FAST_PATH_RETRIES: usize = 64;
-
-/// Outcome of one optimistic fast-path insert attempt.
-enum FastPath {
-    /// Applied in place under the leaf latch; previous value if replaced.
-    Done(Option<Vec<u8>>),
-    /// A version check failed — retry the descent.
-    Restart,
-    /// Needs a structure modification (split / separator growth).
-    Smo,
-}
-
-/// Where an optimistic descent ended up.
-pub(crate) enum Descent {
-    /// Reached a leaf with every pairwise parent validation passing and the
-    /// root unchanged; `parent` pins the leaf's parent for re-validation at
-    /// the mutation frontier (`None` when the root is the leaf).
-    Leaf {
-        page: PageId,
-        parent: Option<(VersionedPage, u64)>,
-    },
-    /// A version check failed along the way.
-    Restart,
+/// The page writes one structural insert decided on, in the order the
+/// recursion planned them (see [`BTree::try_insert_split_path`]).
+#[derive(Default)]
+struct SplitPlan {
+    /// Freshly allocated pages: split siblings and a new root.
+    fresh: Vec<(PageId, Node)>,
+    /// Rewrites of existing nodes, bottom-up.
+    existing: Vec<(PageId, Node)>,
 }
 
 /// A disk-resident B⁺-tree. See the crate docs for the design.
 pub struct BTree {
     pager: Pager,
     file: FileId,
-    root: AtomicU64,
-    height: AtomicUsize,
-    len: AtomicU64,
-    /// Serialises structure modifications on the concurrent write path:
-    /// splits, root growth and separator growth all run under this lock, so
-    /// internal nodes only ever change while it is held (fast-path writers
-    /// edit strictly within one leaf and never move its max key).
-    smo: Mutex<()>,
+    root: PageId,
+    height: usize,
+    len: u64,
 }
 
 impl BTree {
@@ -115,29 +91,12 @@ impl BTree {
         let file = pager.create_file();
         let root = pager.allocate_page(file);
         pager.write_page(file, root, &Node::empty_leaf().encode());
-        BTree::from_parts(pager, file, root, 1, 0)
-    }
-
-    pub(crate) fn from_parts(
-        pager: Pager,
-        file: FileId,
-        root: PageId,
-        height: usize,
-        len: u64,
-    ) -> Self {
-        BTree {
-            pager,
-            file,
-            root: AtomicU64::new(root),
-            height: AtomicUsize::new(height),
-            len: AtomicU64::new(len),
-            smo: Mutex::new(()),
-        }
+        BTree::open(pager, file, root, 1, 0)
     }
 
     /// Number of key/value entries stored.
     pub fn len(&self) -> u64 {
-        self.len.load(Ordering::Acquire)
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -146,7 +105,7 @@ impl BTree {
 
     /// Number of levels (1 = root is a leaf).
     pub fn height(&self) -> usize {
-        self.height.load(Ordering::Acquire)
+        self.height
     }
 
     /// Pages allocated to the tree's file (nodes, including freed slack).
@@ -170,11 +129,7 @@ impl BTree {
 
     /// Page id of the root node (within [`BTree::file`]).
     pub fn root_page(&self) -> PageId {
-        self.root.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn root(&self) -> PageId {
-        self.root.load(Ordering::Acquire)
+        self.root
     }
 
     /// Reopen a tree from persisted parts (see [`BTree::file`],
@@ -186,51 +141,22 @@ impl BTree {
     /// eagerly; a bogus root surfaces on first access (decoding a
     /// non-node page fails its named assertions).
     pub fn open(pager: Pager, file: FileId, root: PageId, height: usize, len: u64) -> Self {
-        BTree::from_parts(pager, file, root, height, len)
+        BTree {
+            pager,
+            file,
+            root,
+            height,
+            len,
+        }
     }
 
-    /// A page-sized scratch buffer for optimistic snapshots.
-    pub(crate) fn page_buf() -> Box<[u8; PAGE_SIZE]> {
-        vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap()
-    }
-
-    /// Owned decode of one node — the serial write path's view.
+    /// Owned decode of one node — the split path's view.
     fn try_read_node(&self, page: PageId) -> Result<Node, PageError> {
         self.pager.try_with_page(self.file, page, Node::decode)
     }
 
     fn try_write_node(&self, page: PageId, node: &Node) -> Result<(), PageError> {
         self.pager.try_write_page(self.file, page, &node.encode())
-    }
-
-    /// Owned decode from a **consistent snapshot** — the concurrent path's
-    /// view of a node whose frame may be edited by a latched writer.
-    fn try_snapshot_node(&self, page: PageId) -> Result<Node, PageError> {
-        let vp = self.pager.try_pin_versioned(self.file, page)?;
-        let mut buf = Self::page_buf();
-        vp.snapshot_into(&mut buf);
-        Ok(Node::decode(&buf[..]))
-    }
-
-    /// Write a node through the frame latch + seqlock, so concurrent
-    /// optimistic readers either retry or see the complete image — never a
-    /// torn page. (`try_write_page` is unusable here: its unpinned-frame
-    /// assertion races reader pins, and it offers no torn-read protection.)
-    fn try_write_node_latched(&self, page: PageId, node: &Node) -> Result<(), PageError> {
-        let enc = node.encode();
-        self.pager
-            .try_with_page_mut(self.file, page, |bytes| bytes.copy_from_slice(&enc))
-    }
-
-    /// Snapshot one leaf page into `out` (concurrent-mode cursor hops).
-    pub(crate) fn try_snapshot_leaf(
-        &self,
-        page: PageId,
-        out: &mut [u8; PAGE_SIZE],
-    ) -> Result<(), PageError> {
-        let vp = self.pager.try_pin_versioned(self.file, page)?;
-        vp.snapshot_into(out);
-        Ok(())
     }
 
     /// Pin one node's page for zero-copy reading (the read path's view);
@@ -246,6 +172,28 @@ impl BTree {
         self.pager.try_with_page(self.file, page, |_| ())
     }
 
+    /// Pinned descent to the leaf covering the monotone seek predicate
+    /// `before` (see [`crate::Cursor::seek_by`]): its page id and a guard
+    /// pinning it. Each level's pin is released before its child is
+    /// fetched; `table` is scratch space the caller may reuse for the leaf.
+    pub(crate) fn try_descend(
+        &self,
+        before: impl Fn(&[u8]) -> bool,
+        table: &mut OffsetTable,
+    ) -> Result<(PageId, PageGuard), PageError> {
+        let mut page = self.root;
+        loop {
+            let guard = self.try_pin_node(page)?;
+            let node = NodeRef::new(guard.bytes());
+            if node.is_leaf() {
+                return Ok((page, guard));
+            }
+            node.fill_offsets(table);
+            let idx = node.partition_point(table, &before).min(node.count() - 1);
+            page = node.child(table, idx);
+        }
+    }
+
     /// Exact-match lookup.
     ///
     /// The descent reads borrowed [`NodeRef`] views straight out of pinned
@@ -257,30 +205,13 @@ impl BTree {
     }
 
     /// Fallible twin of [`BTree::get`]: a page fault anywhere along the
-    /// descent surfaces as its typed [`PageError`] instead of a panic.
-    /// With the pool's concurrent write path off (the default) the access
-    /// pattern — and hence page-access counts — is identical to the
-    /// historical [`BTree::get`]; with it on, the descent switches to
-    /// version-validated snapshots.
+    /// descent surfaces as its typed [`PageError`] instead of a panic. The
+    /// access pattern — and hence page-access counts — is identical to the
+    /// historical [`BTree::get`].
     pub fn try_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        if self.pager.concurrent_writes() {
-            return self.olc_get(key);
-        }
         let mut table = OffsetTable::new();
-        let mut page = self.root();
-        let leaf_page = loop {
-            let guard = self.try_pin_node(page)?;
-            let node = NodeRef::new(guard.bytes());
-            if node.is_leaf() {
-                break page;
-            }
-            node.fill_offsets(&mut table);
-            let idx = node
-                .partition_point(&table, |sep| sep < key)
-                .min(node.count() - 1);
-            page = node.child(&table, idx);
-            // Guard drops here, before the child fetch.
-        };
+        let (leaf_page, guard) = self.try_descend(|sep| sep < key, &mut table)?;
+        drop(guard);
         let guard = self.try_pin_node(leaf_page)?;
         let node = NodeRef::new(guard.bytes());
         node.fill_offsets(&mut table);
@@ -299,72 +230,6 @@ impl BTree {
         self.get(key).is_some()
     }
 
-    /// One optimistic descent to the leaf covering the seek predicate.
-    ///
-    /// Restart discipline: after snapshotting a child, the parent's version
-    /// is re-validated — a failed check means an SMO touched the parent
-    /// since we read the child pointer from it, so the route may be stale.
-    /// At the leaf, the root id is rechecked: root growth halves the old
-    /// root *after* publishing the new one, so a descent that started from
-    /// the old root and saw it halved must restart (root page ids are never
-    /// recycled, so the compare cannot ABA). On success, `snap` holds a
-    /// consistent image of the leaf.
-    pub(crate) fn olc_descend(
-        &self,
-        before: &dyn Fn(&[u8]) -> bool,
-        snap: &mut [u8; PAGE_SIZE],
-    ) -> Result<Descent, PageError> {
-        let mut table = OffsetTable::new();
-        let start_root = self.root();
-        let mut page = start_root;
-        let mut parent: Option<(VersionedPage, u64)> = None;
-        loop {
-            let vp = self.pager.try_pin_versioned(self.file, page)?;
-            let version = vp.snapshot_into(snap);
-            if let Some((pvp, pver)) = &parent {
-                if !pvp.validate(*pver) {
-                    return Ok(Descent::Restart);
-                }
-            }
-            let node = NodeRef::new(&snap[..]);
-            if node.is_leaf() {
-                if self.root() != start_root {
-                    return Ok(Descent::Restart);
-                }
-                return Ok(Descent::Leaf { page, parent });
-            }
-            node.fill_offsets(&mut table);
-            let idx = node.partition_point(&table, before).min(node.count() - 1);
-            let child = node.child(&table, idx);
-            parent = Some((vp, version));
-            page = child;
-        }
-    }
-
-    /// Concurrent-mode point lookup: optimistic descent, answer straight
-    /// from the leaf snapshot.
-    fn olc_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        let mut snap = Self::page_buf();
-        loop {
-            match self.olc_descend(&|sep| sep < key, &mut snap)? {
-                Descent::Restart => continue,
-                Descent::Leaf { .. } => {
-                    let node = NodeRef::new(&snap[..]);
-                    let mut table = OffsetTable::new();
-                    node.fill_offsets(&mut table);
-                    let idx = node.partition_point(&table, |k| k < key);
-                    if idx < node.count() {
-                        let (k, v) = node.leaf_entry(&table, idx);
-                        if k == key {
-                            return Ok(Some(v.to_vec()));
-                        }
-                    }
-                    return Ok(None);
-                }
-            }
-        }
-    }
-
     /// Insert or replace `key`. Returns the previous value if any.
     ///
     /// Panics on a page fault (degraded pool); [`BTree::try_insert`] is the
@@ -376,32 +241,93 @@ impl BTree {
         }
     }
 
-    /// Fallible insert, callable through a shared reference: with the
-    /// pool's concurrent write path enabled, any number of threads may call
-    /// this against one tree.
-    pub fn try_insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
+    /// Fallible insert: an in-place leaf edit when no separator or sibling
+    /// can change, the recursive split path otherwise (see the module
+    /// docs).
+    pub fn try_insert(&mut self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
         if key.len() + value.len() > MAX_ENTRY_BYTES {
             return Err(BTreeError::EntryTooLarge {
                 key_len: key.len(),
                 value_len: value.len(),
             });
         }
-        if self.pager.concurrent_writes() {
-            return self.olc_insert(key, value);
-        }
-        let (old, split) = self.try_insert_rec(self.root(), key, value)?;
+        let (leaf, guard) = self.try_descend(|sep| sep < key, &mut OffsetTable::new())?;
+        drop(guard);
+        let edited = self.pager.try_with_page_mut(self.file, leaf, |bytes| {
+            Self::leaf_insert_in_place(bytes, key, value)
+        })?;
+        let old = match edited {
+            Some(old) => old,
+            None => self.try_insert_split_path(key, value)?,
+        };
         if old.is_none() {
-            self.len.fetch_add(1, Ordering::AcqRel);
+            self.len += 1;
         }
+        Ok(old)
+    }
+
+    /// Apply an insert to a leaf page in place when that cannot change
+    /// anything above it: the key replaces an existing entry, or sorts
+    /// strictly below the leaf's max key — and the result fits the page.
+    /// `Some(previous value)` when applied, `None` (page untouched) when
+    /// the split path must run.
+    fn leaf_insert_in_place(
+        bytes: &mut [u8; PAGE_SIZE],
+        key: &[u8],
+        value: &[u8],
+    ) -> Option<Option<Vec<u8>>> {
+        let mut table = OffsetTable::new();
+        let view = NodeRef::new(&bytes[..]);
+        view.fill_offsets(&mut table);
+        let pos = view.partition_point(&table, |k| k < key);
+        if pos == table.len() {
+            // The key would become the leaf's new max: separators move.
+            return None;
+        }
+        let used = node::leaf_used_bytes(&bytes[..], &table);
+        let (k, v) = view.leaf_entry(&table, pos);
+        if k == key {
+            let old = v.to_vec();
+            if used - old.len() + value.len() > PAGE_SIZE {
+                return None;
+            }
+            node::leaf_replace_at(bytes, &table, pos, value);
+            return Some(Some(old));
+        }
+        if used + LEAF_ENTRY_HEADER + key.len() + value.len() > PAGE_SIZE {
+            return None;
+        }
+        node::leaf_insert_at(bytes, &table, pos, key, value);
+        Some(None)
+    }
+
+    /// The structural insert: the recursive split path from the root, plus
+    /// root growth when the root itself splits.
+    ///
+    /// The recursion only *plans* its page writes; they are applied here in
+    /// an order where every prefix leaves every key reachable by a seek and
+    /// a leaf-chain scan: first the fresh pages (split siblings and a new
+    /// root — unreferenced until a parent names them), then the root swing,
+    /// then the existing nodes top-down. A parent therefore always names a
+    /// new right sibling before its child is halved, and a halved leaf's
+    /// `next` never points at an unwritten page. A failed write stops the
+    /// sequence in one of those consistent states.
+    fn try_insert_split_path(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<Option<Vec<u8>>, PageError> {
+        let mut plan = SplitPlan::default();
+        let (old, split) = self.try_insert_rec(self.root, key, value, &mut plan)?;
+        let mut new_root = None;
         if let Some((sep_left, right_page, sep_right)) = split {
             // Root split: grow the tree by one level.
-            let old_root = self.root();
-            let new_root = self.pager.try_allocate_page(self.file)?;
+            let page = self.pager.try_allocate_page(self.file)?;
             let node = Node::Internal {
                 entries: vec![
                     InternalEntry {
                         separator: sep_left,
-                        child: old_root,
+                        child: self.root,
                     },
                     InternalEntry {
                         separator: sep_right,
@@ -409,22 +335,33 @@ impl BTree {
                     },
                 ],
             };
-            self.try_write_node(new_root, &node)?;
-            self.root.store(new_root, Ordering::Release);
-            self.height.fetch_add(1, Ordering::AcqRel);
+            plan.fresh.push((page, node));
+            new_root = Some(page);
+        }
+        for (page, node) in &plan.fresh {
+            self.try_write_node(*page, node)?;
+        }
+        if let Some(page) = new_root {
+            self.root = page;
+            self.height += 1;
+        }
+        // Planned bottom-up by the recursion; applied top-down.
+        for (page, node) in plan.existing.iter().rev() {
+            self.try_write_node(*page, node)?;
         }
         Ok(old)
     }
 
-    /// Serial recursive insert. Returns `(previous value, split info)`
-    /// where split info is `(left max key, new right page, right max key)`
-    /// when `page` was split.
+    /// Recursive insert. Returns `(previous value, split info)` where split
+    /// info is `(left max key, new right page, right max key)` when `page`
+    /// was split. Every node write is recorded in `plan`, not applied.
     #[allow(clippy::type_complexity)]
     fn try_insert_rec(
         &self,
         page: PageId,
         key: &[u8],
         value: &[u8],
+        plan: &mut SplitPlan,
     ) -> Result<(Option<Vec<u8>>, Option<(Vec<u8>, PageId, Vec<u8>)>), PageError> {
         let mut node = self.try_read_node(page)?;
         let old = match &mut node {
@@ -450,7 +387,7 @@ impl BTree {
                 let idx = entries.partition_point(|e| e.separator.as_slice() < key);
                 let idx = idx.min(entries.len() - 1);
                 let child = entries[idx].child;
-                let (old, split) = self.try_insert_rec(child, key, value)?;
+                let (old, split) = self.try_insert_rec(child, key, value, plan)?;
                 // The child's max key may have grown (insert beyond the last
                 // separator).
                 if let Some((left_max, right_page, right_max)) = split {
@@ -469,7 +406,7 @@ impl BTree {
             }
         };
         if node.fits_in_page() {
-            self.try_write_node(page, &node)?;
+            plan.existing.push((page, node));
             return Ok((old, None));
         }
         // Overflow: split and hand the new sibling up to the parent.
@@ -480,244 +417,10 @@ impl BTree {
         }
         let left_max = node.max_key().expect("split leaves entries").to_vec();
         let right_max = right.max_key().expect("split leaves entries").to_vec();
-        self.try_write_node(page, &node)?;
-        self.try_write_node(right_page, &right)?;
         debug_assert!(node.fits_in_page() && right.fits_in_page());
+        plan.fresh.push((right_page, right));
+        plan.existing.push((page, node));
         Ok((old, Some((left_max, right_page, right_max))))
-    }
-
-    /// Concurrent insert: bounded optimistic fast-path attempts, then the
-    /// serialised SMO path (needed for splits anyway, and a guaranteed
-    /// finish under contention).
-    fn olc_insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
-        for _ in 0..FAST_PATH_RETRIES {
-            match self.olc_fast_insert(key, value)? {
-                FastPath::Done(old) => {
-                    if old.is_none() {
-                        self.len.fetch_add(1, Ordering::AcqRel);
-                    }
-                    return Ok(old);
-                }
-                FastPath::Restart => continue,
-                FastPath::Smo => break,
-            }
-        }
-        let old = self.smo_insert(key, value)?;
-        if old.is_none() {
-            self.len.fetch_add(1, Ordering::AcqRel);
-        }
-        Ok(old)
-    }
-
-    /// One optimistic fast-path attempt: descend, then latch only the leaf
-    /// and edit it in place — valid exactly when the edit keys strictly
-    /// below the leaf's max key and fits, because then no separator or
-    /// structural change can be needed.
-    fn olc_fast_insert(&self, key: &[u8], value: &[u8]) -> Result<FastPath, BTreeError> {
-        let mut snap = Self::page_buf();
-        let (leaf, parent) = match self.olc_descend(&|sep| sep < key, &mut snap)? {
-            Descent::Restart => return Ok(FastPath::Restart),
-            Descent::Leaf { page, parent } => (page, parent),
-        };
-        let out = self.pager.try_with_page_mut(self.file, leaf, |bytes| {
-            // Re-validate routing *inside* the latch. The leaf cannot split
-            // under us now: an SMO holds this latch across the whole split,
-            // so an unchanged parent (or root id, at height 1) proves the
-            // descent's route is still current.
-            match &parent {
-                Some((pvp, pver)) => {
-                    if !pvp.validate(*pver) {
-                        return FastPath::Restart;
-                    }
-                }
-                None => {
-                    if self.root() != leaf {
-                        return FastPath::Restart;
-                    }
-                }
-            }
-            let mut table = OffsetTable::new();
-            let view = NodeRef::new(&bytes[..]);
-            if !view.is_leaf() {
-                return FastPath::Restart;
-            }
-            view.fill_offsets(&mut table);
-            let pos = view.partition_point(&table, |k| k < key);
-            let used = node::leaf_used_bytes(&bytes[..], &table);
-            if pos < table.len() {
-                let (k, v) = view.leaf_entry(&table, pos);
-                if k == key {
-                    let old = v.to_vec();
-                    if used - old.len() + value.len() <= PAGE_SIZE {
-                        node::leaf_replace_at(bytes, &table, pos, value);
-                        return FastPath::Done(Some(old));
-                    }
-                    return FastPath::Smo;
-                }
-                // Fresh key strictly below the leaf max: no separator moves.
-                if used + LEAF_ENTRY_HEADER + key.len() + value.len() <= PAGE_SIZE {
-                    node::leaf_insert_at(bytes, &table, pos, key, value);
-                    return FastPath::Done(None);
-                }
-            }
-            // Overflow, or the key would become the new leaf max (separator
-            // growth up the path): structure modification territory.
-            FastPath::Smo
-        })?;
-        Ok(out)
-    }
-
-    /// The serialised structure-modification insert. Fully general (also
-    /// handles edits the fast path could have done) so it doubles as the
-    /// contention fallback.
-    ///
-    /// Protocol: descend from the current root recording the internal path
-    /// from consistent snapshots — internals only change under the `smo`
-    /// lock we hold, so those snapshots stay current. All mutation then
-    /// happens while holding the *leaf's* frame latch: fresh right
-    /// siblings are written first (unreferenced, hence invisible), then
-    /// existing internal nodes top-down (a reader mid-descent either sees
-    /// a pre-update superset route or fails its pairwise validation), the
-    /// root pointer swings before the old root is halved, and the leaf
-    /// itself — whose seqlock has been odd throughout — is rewritten last
-    /// inside the closure.
-    fn smo_insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
-        let _smo = self.smo.lock().unwrap_or_else(|e| e.into_inner());
-        let start_root = self.root();
-        let mut path: Vec<(PageId, usize, Vec<InternalEntry>)> = Vec::new();
-        let mut page = start_root;
-        loop {
-            match self.try_snapshot_node(page)? {
-                Node::Leaf { .. } => break,
-                Node::Internal { entries } => {
-                    let idx = entries
-                        .partition_point(|e| e.separator.as_slice() < key)
-                        .min(entries.len() - 1);
-                    let child = entries[idx].child;
-                    path.push((page, idx, entries));
-                    page = child;
-                }
-            }
-        }
-        let leaf = page;
-        self.pager.try_with_page_mut(self.file, leaf, |bytes| {
-            self.smo_apply(bytes, start_root, &mut path, key, value)
-        })?
-    }
-
-    /// Body of [`BTree::smo_insert`], run under the leaf's frame latch.
-    fn smo_apply(
-        &self,
-        bytes: &mut [u8; PAGE_SIZE],
-        start_root: PageId,
-        path: &mut Vec<(PageId, usize, Vec<InternalEntry>)>,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<Option<Vec<u8>>, BTreeError> {
-        let mut leaf_node = Node::decode(&bytes[..]);
-        let Node::Leaf { entries, .. } = &mut leaf_node else {
-            unreachable!("smo descent ended on a non-leaf page")
-        };
-        let old = match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-            Ok(i) => Some(std::mem::replace(&mut entries[i].value, value.to_vec())),
-            Err(i) => {
-                entries.insert(
-                    i,
-                    LeafEntry {
-                        key: key.to_vec(),
-                        value: value.to_vec(),
-                    },
-                );
-                None
-            }
-        };
-        // Split info propagating up: (left max, new right page, right max).
-        let mut split_info: Option<(Vec<u8>, PageId, Vec<u8>)> = None;
-        if !leaf_node.fits_in_page() {
-            let right = leaf_node.split();
-            let right_page = self.pager.try_allocate_page(self.file)?;
-            if let Node::Leaf { next, .. } = &mut leaf_node {
-                *next = Some(right_page);
-            }
-            let left_max = leaf_node.max_key().expect("split leaves entries").to_vec();
-            let right_max = right.max_key().expect("split leaves entries").to_vec();
-            // The right sibling inherits the old next pointer, so the leaf
-            // chain stays complete the instant the halved leaf (with its
-            // new next) becomes visible — both flips commit together when
-            // this latch releases.
-            self.try_write_node_latched(right_page, &right)?;
-            split_info = Some((left_max, right_page, right_max));
-        }
-        // Propagate through the recorded internal path bottom-up, collecting
-        // the rewrites; nothing is applied yet.
-        let mut updates: Vec<(PageId, Node)> = Vec::new();
-        while let Some((ipage, idx, mut entries)) = path.pop() {
-            let changed = if let Some((lmax, rpage, rmax)) = split_info.take() {
-                entries[idx].separator = lmax;
-                entries.insert(
-                    idx + 1,
-                    InternalEntry {
-                        separator: rmax,
-                        child: rpage,
-                    },
-                );
-                true
-            } else if entries[idx].separator.as_slice() < key {
-                // Insert beyond the child's old max: loosen the bound.
-                entries[idx].separator = key.to_vec();
-                true
-            } else {
-                false
-            };
-            if !changed {
-                continue;
-            }
-            let mut inode = Node::Internal { entries };
-            if !inode.fits_in_page() {
-                let right = inode.split();
-                let right_page = self.pager.try_allocate_page(self.file)?;
-                let left_max = inode.max_key().expect("split leaves entries").to_vec();
-                let right_max = right.max_key().expect("split leaves entries").to_vec();
-                self.try_write_node_latched(right_page, &right)?;
-                split_info = Some((left_max, right_page, right_max));
-            }
-            updates.push((ipage, inode));
-        }
-        if let Some((lmax, rpage, rmax)) = split_info {
-            // Root split: publish the new root *before* its left half is
-            // halved below (the old root is the last entry of `updates`),
-            // so a reader that still descends the stale, un-halved root
-            // sees a superset — and one that sees it halved fails the
-            // root-id recheck at its leaf.
-            let new_root = self.pager.try_allocate_page(self.file)?;
-            let node = Node::Internal {
-                entries: vec![
-                    InternalEntry {
-                        separator: lmax,
-                        child: start_root,
-                    },
-                    InternalEntry {
-                        separator: rmax,
-                        child: rpage,
-                    },
-                ],
-            };
-            self.try_write_node_latched(new_root, &node)?;
-            self.root.store(new_root, Ordering::Release);
-            self.height.fetch_add(1, Ordering::AcqRel);
-        }
-        // Apply the internal rewrites top-down: a parent always references
-        // its child's new right sibling before the child is halved, so any
-        // intermediate state routes every key to a node that (still)
-        // covers it.
-        for (ipage, inode) in updates.into_iter().rev() {
-            self.try_write_node_latched(ipage, &inode)?;
-        }
-        // The leaf last — its seqlock has been odd since before the first
-        // structural write, so no optimistic reader observed any of the
-        // intermediate states through it.
-        bytes.copy_from_slice(&leaf_node.encode());
-        Ok(old)
     }
 
     /// Remove `key`, returning its value if present. Merge-free: nodes may
@@ -727,123 +430,37 @@ impl BTree {
         self.try_remove(key).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible remove, callable through a shared reference under the
-    /// concurrent write path. Deletes never need a structure modification:
-    /// separators stay loose upper bounds (clamped routing keeps them
-    /// correct), so only the leaf is latched.
-    pub fn try_remove(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        if self.pager.concurrent_writes() {
-            return self.olc_remove(key);
+    /// Fallible remove: an in-place edit of the leaf. Deletes never need a
+    /// structure modification — separators stay loose upper bounds, which
+    /// clamped routing keeps correct — and a missing key writes nothing.
+    pub fn try_remove(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
+        let mut table = OffsetTable::new();
+        let (leaf, guard) = self.try_descend(|sep| sep < key, &mut table)?;
+        let node = NodeRef::new(guard.bytes());
+        node.fill_offsets(&mut table);
+        let pos = node.partition_point(&table, |k| k < key);
+        if pos == node.count() || node.leaf_entry(&table, pos).0 != key {
+            return Ok(None);
         }
-        let mut page = self.root();
-        let leaf_page = loop {
-            match self.try_read_node(page)? {
-                Node::Leaf { .. } => break page,
-                Node::Internal { entries } => {
-                    let idx = entries.partition_point(|e| e.separator.as_slice() < key);
-                    let idx = idx.min(entries.len() - 1);
-                    page = entries[idx].child;
-                }
-            }
-        };
-        let mut node = self.try_read_node(leaf_page)?;
-        let removed = match &mut node {
-            Node::Leaf { entries, .. } => {
-                match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                    Ok(i) => Some(entries.remove(i).value),
-                    Err(_) => None,
-                }
-            }
-            Node::Internal { .. } => unreachable!(),
-        };
-        if removed.is_some() {
-            self.try_write_node(leaf_page, &node)?;
-            self.len.fetch_sub(1, Ordering::AcqRel);
-        }
-        Ok(removed)
+        let old = node.leaf_entry(&table, pos).1.to_vec();
+        // The tree is borrowed exclusively, so the page cannot change
+        // between releasing the pin and the edit: `table` stays valid.
+        drop(guard);
+        self.pager.try_with_page_mut(self.file, leaf, |bytes| {
+            node::leaf_remove_at(bytes, &table, pos)
+        })?;
+        self.len -= 1;
+        Ok(Some(old))
     }
 
-    /// Concurrent-mode remove: optimistic descent, in-place edit under the
-    /// leaf latch, unbounded restarts (each restart means an SMO committed,
-    /// which is finite work by others — no livelock in practice; contended
-    /// phases are bounded by the `smo` serialisation).
-    fn olc_remove(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        let mut snap = Self::page_buf();
-        loop {
-            let (leaf, parent) = match self.olc_descend(&|sep| sep < key, &mut snap)? {
-                Descent::Restart => continue,
-                Descent::Leaf { page, parent } => (page, parent),
-            };
-            // `None` = validation failed inside the latch → restart.
-            let out: Option<Option<Vec<u8>>> =
-                self.pager.try_with_page_mut(self.file, leaf, |bytes| {
-                    match &parent {
-                        Some((pvp, pver)) => {
-                            if !pvp.validate(*pver) {
-                                return None;
-                            }
-                        }
-                        None => {
-                            if self.root() != leaf {
-                                return None;
-                            }
-                        }
-                    }
-                    let mut table = OffsetTable::new();
-                    let view = NodeRef::new(&bytes[..]);
-                    if !view.is_leaf() {
-                        return None;
-                    }
-                    view.fill_offsets(&mut table);
-                    let pos = view.partition_point(&table, |k| k < key);
-                    if pos < table.len() {
-                        let (k, v) = view.leaf_entry(&table, pos);
-                        if k == key {
-                            let old = v.to_vec();
-                            node::leaf_remove_at(bytes, &table, pos);
-                            return Some(Some(old));
-                        }
-                    }
-                    Some(None)
-                })?;
-            match out {
-                None => continue,
-                Some(removed) => {
-                    if removed.is_some() {
-                        self.len.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    return Ok(removed);
-                }
-            }
-        }
-    }
-
-    /// Insert a batch of entries, fanning out over `threads` workers when
-    /// the pool's concurrent write path is enabled (serial otherwise).
-    /// Returns the number of *fresh* keys inserted. On a page fault the
-    /// batch stops with the typed error; already-applied entries remain
-    /// (inserts are independent and idempotent to re-apply).
-    pub fn try_batch_insert(
-        &self,
-        entries: &[(Vec<u8>, Vec<u8>)],
-        threads: usize,
-    ) -> Result<u64, BTreeError> {
-        if threads <= 1 || !self.pager.concurrent_writes() {
-            let mut fresh = 0u64;
-            for (k, v) in entries {
-                if self.try_insert(k, v)?.is_none() {
-                    fresh += 1;
-                }
-            }
-            return Ok(fresh);
-        }
-        let results = pagestore::par_map(entries.len(), threads, |i| {
-            let (k, v) = &entries[i];
-            self.try_insert(k, v).map(|old| old.is_none())
-        });
+    /// Insert a batch of entries in order. Returns the number of *fresh*
+    /// keys inserted. On a page fault the batch stops with the typed
+    /// error; already-applied entries remain (inserts are independent and
+    /// idempotent to re-apply).
+    pub fn try_batch_insert(&mut self, entries: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, BTreeError> {
         let mut fresh = 0u64;
-        for r in results {
-            if r? {
+        for (k, v) in entries {
+            if self.try_insert(k, v)?.is_none() {
                 fresh += 1;
             }
         }
@@ -851,8 +468,8 @@ impl BTree {
     }
 
     /// Panicking twin of [`BTree::try_batch_insert`].
-    pub fn batch_insert(&mut self, entries: &[(Vec<u8>, Vec<u8>)], threads: usize) -> u64 {
-        match self.try_batch_insert(entries, threads) {
+    pub fn batch_insert(&mut self, entries: &[(Vec<u8>, Vec<u8>)]) -> u64 {
+        match self.try_batch_insert(entries) {
             Ok(fresh) => fresh,
             Err(e) => panic!("{e}"),
         }
@@ -898,7 +515,7 @@ impl BTree {
     /// quiescent tree (no concurrent writers).
     pub fn check_invariants(&self) {
         let mut leaf_keys = Vec::new();
-        self.check_rec(self.root(), None, &mut leaf_keys);
+        self.check_rec(self.root, None, &mut leaf_keys);
         for w in leaf_keys.windows(2) {
             assert!(w[0] < w[1], "leaf keys must be strictly increasing");
         }
@@ -948,6 +565,12 @@ mod tests {
 
     fn tree() -> BTree {
         BTree::create(Pager::with_cache_bytes(1 << 20))
+    }
+
+    /// Retry backoff that spends no wall-clock time.
+    struct NoSleep;
+    impl pagestore::Clock for NoSleep {
+        fn sleep(&self, _d: std::time::Duration) {}
     }
 
     #[test]
@@ -1037,47 +660,56 @@ mod tests {
         assert_eq!(t.get(&7u32.to_be_bytes()).unwrap()[0], 7);
     }
 
-    /// A tree on a pool with the concurrent (OLC) write path enabled.
-    fn olc_tree() -> BTree {
-        let pager = Pager::with_cache_bytes(1 << 20);
-        pager.set_concurrent_writes(true);
-        BTree::create(pager)
-    }
-
-    #[test]
-    fn olc_single_thread_agrees_with_serial_oracle() {
-        // Same operation sequence against the OLC path and the serial
-        // path: every return value and the final contents must agree.
-        let t = olc_tree();
-        let mut oracle = tree();
+    /// Pseudo-random inserts, overwrites and removes against a `BTreeMap`
+    /// oracle: every return value and the final contents must agree. The
+    /// key space is small enough that most inserts land strictly inside a
+    /// leaf (in-place edits) while the tree still splits several times.
+    fn agrees_with_btreemap_oracle(mut t: BTree) {
+        let mut oracle = std::collections::BTreeMap::new();
         let mut k = 7u32;
         for step in 0..4000u32 {
             k = k.wrapping_mul(2654435761).wrapping_add(step) % 1500;
             let key = format!("key{k:06}").into_bytes();
             if step % 5 == 4 {
-                let a = t.try_remove(&key).unwrap();
-                let b = oracle.remove(&key);
-                assert_eq!(a, b, "remove {k} at step {step}");
+                let got = t.try_remove(&key).unwrap();
+                assert_eq!(got, oracle.remove(&key), "remove {k} at step {step}");
             } else {
-                let val = step.to_be_bytes().to_vec();
-                let a = t.try_insert(&key, &val).unwrap();
-                let b = oracle.insert(&key, &val).unwrap();
-                assert_eq!(a, b, "insert {k} at step {step}");
+                // Values vary in length so overwrites shift leaf tails.
+                let val = vec![step as u8; 4 + (step % 13) as usize];
+                let got = t.try_insert(&key, &val).unwrap();
+                assert_eq!(got, oracle.insert(key, val), "insert {k} at step {step}");
             }
         }
-        assert_eq!(t.len(), oracle.len());
+        assert!(t.height() > 1, "tree must have split");
+        assert_eq!(t.len(), oracle.len() as u64);
         t.check_invariants();
         let got: Vec<_> = t.scan().collect();
-        let want: Vec<_> = oracle.scan().collect();
+        let want: Vec<_> = oracle.into_iter().collect();
         assert_eq!(got, want);
     }
 
     #[test]
-    fn olc_grows_height_and_stays_searchable() {
-        let t = olc_tree();
-        for i in 0..5000u32 {
+    fn in_place_and_split_inserts_agree_with_btreemap_oracle() {
+        agrees_with_btreemap_oracle(tree());
+    }
+
+    #[test]
+    fn in_place_edits_survive_eviction_between_descent_and_edit() {
+        // One frame: the descent's leaf is evicted by the time the edit
+        // fetches it again whenever anything else was touched in between.
+        agrees_with_btreemap_oracle(BTree::create(Pager::with_cache_bytes(PAGE_SIZE)));
+    }
+
+    #[test]
+    fn in_place_inserts_grow_height_and_stay_searchable() {
+        // Even keys ascending (each a new max: split path), then the odd
+        // keys, which all sort inside an existing leaf (in place until the
+        // leaf overflows).
+        let mut t = tree();
+        for i in (0..5000u32).step_by(2).chain((1..5000).step_by(2)) {
             t.try_insert(&i.to_be_bytes(), &[0u8; 32]).unwrap();
         }
+        assert_eq!(t.len(), 5000);
         assert!(t.height() > 1, "tree must have split");
         t.check_invariants();
         for probe in [0u32, 1, 2500, 4999] {
@@ -1090,38 +722,13 @@ mod tests {
     }
 
     #[test]
-    fn olc_batch_insert_multithreaded_matches_serial() {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..6000u32)
-            .map(|i| {
-                let k = i.wrapping_mul(2654435761) % 6000;
-                (format!("k{k:08}").into_bytes(), k.to_be_bytes().to_vec())
-            })
-            .collect();
-        let t = olc_tree();
-        t.try_batch_insert(&entries, 4).unwrap();
-        let mut oracle = tree();
-        for (k, v) in &entries {
-            oracle.insert(k, v).unwrap();
-        }
-        assert_eq!(t.len(), oracle.len());
-        t.check_invariants();
-        let got: Vec<_> = t.scan().collect();
-        let want: Vec<_> = oracle.scan().collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn degraded_pool_insert_returns_typed_error() {
-        use pagestore::{Clock, FaultConfig, FaultStorage};
-        struct NoSleep;
-        impl Clock for NoSleep {
-            fn sleep(&self, _d: std::time::Duration) {}
-        }
+        use pagestore::{FaultConfig, FaultStorage};
         let (storage, handle) = FaultStorage::create(FaultConfig::default()).unwrap();
         // Tiny cache: growth forces eviction write-backs.
         let pager = Pager::with_storage(storage, 8 * PAGE_SIZE);
         pager.set_retry_clock(std::sync::Arc::new(NoSleep));
-        let t = BTree::create(pager);
+        let mut t = BTree::create(pager);
         for i in 0..64u32 {
             t.try_insert(&i.to_be_bytes(), &[3u8; 64]).unwrap();
         }
@@ -1150,5 +757,82 @@ mod tests {
         assert!(matches!(err, PageError::ReadOnly { .. }), "got {err:?}");
         // …and reads still serve from the (unevictable dirty) cache.
         assert_eq!(t.try_get(&7u32.to_be_bytes()).unwrap(), Some(vec![3u8; 64]));
+    }
+
+    #[test]
+    fn split_write_faults_at_every_op_keep_every_key_reachable() {
+        // Fail every write from op `k` on, for each `k` a fault-free run of
+        // the batch issues, and check what the split path's write order
+        // promises: every key present before the batch is still found by a
+        // seek, and a full scan is ascending and lies between the pre- and
+        // post-batch key sets. 400-byte keys keep the fan-out near 10, so
+        // the batch splits leaves and the (internal) root and grows the
+        // tree; the one-page cache turns every access into a write-back,
+        // so failures land between a split's page writes.
+        use pagestore::{FaultConfig, FaultStorage};
+        use std::collections::BTreeSet;
+        let key = |i: u32| {
+            let mut k = vec![0u8; 400];
+            k[..4].copy_from_slice(&i.to_be_bytes());
+            k
+        };
+        // Seed: even keys ascending (half-full nodes); batch: odd keys.
+        const N: u32 = 45;
+        let seed: Vec<Vec<u8>> = (0..N).map(|i| key(2 * i)).collect();
+        let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..N)
+            .map(|i| (key(2 * ((i * 37) % N) + 1), vec![1u8; 8]))
+            .collect();
+        let before: BTreeSet<Vec<u8>> = seed.iter().cloned().collect();
+        let mut after = before.clone();
+        after.extend(batch.iter().map(|(k, _)| k.clone()));
+        // Seed once, then restart every run from the synced image.
+        let (storage, h) = FaultStorage::create(FaultConfig::default()).unwrap();
+        let mut t = BTree::create(Pager::with_storage(storage, PAGE_SIZE));
+        for k in &seed {
+            t.try_insert(k, &[0u8; 8]).unwrap();
+        }
+        t.pager().sync().unwrap();
+        let image = h.disk_image();
+        let (file, root, height, len) = (t.file(), t.root_page(), t.height(), t.len());
+        let reopen = || {
+            let (storage, h) =
+                FaultStorage::open_image(image.clone(), FaultConfig::default()).unwrap();
+            let pager = Pager::with_storage(storage, PAGE_SIZE);
+            pager.set_retry_clock(std::sync::Arc::new(NoSleep));
+            (BTree::open(pager, file, root, height, len), h)
+        };
+
+        let (mut t, h) = reopen();
+        let start = h.ops();
+        t.try_batch_insert(&batch).unwrap();
+        let batch_ops = h.ops() - start;
+        assert!(t.height() > height, "the batch must split the root");
+        t.check_invariants();
+
+        for k in 0..batch_ops {
+            let (mut t, h) = reopen();
+            let ops = h.ops();
+            // Every write from op `k` on fails (a degraded pool issues no
+            // more write-backs, so twice the fault-free count is plenty).
+            h.set_fault_config(FaultConfig {
+                transient_writes: (ops + k..ops + 2 * batch_ops).collect(),
+                ..FaultConfig::default()
+            });
+            // The failed write-back may be the batch's last access, which
+            // itself completes in cache; the pool degrades either way.
+            if let Err(e) = t.try_batch_insert(&batch) {
+                assert!(matches!(e, BTreeError::Page(_)), "op {k}: {e}");
+            }
+            assert!(t.pager().degraded().is_some(), "op {k}: pool must degrade");
+            for key in &seed {
+                let c = t.try_seek(key).unwrap();
+                assert_eq!(c.peek().map(|(k, _)| k), Some(&key[..]), "op {k}: seek");
+            }
+            let scanned: Vec<Vec<u8>> = t.scan().map(|(key, _)| key).collect();
+            assert!(scanned.windows(2).all(|w| w[0] < w[1]), "op {k}: order");
+            let scanned: BTreeSet<Vec<u8>> = scanned.into_iter().collect();
+            assert!(before.is_subset(&scanned), "op {k}: scan lost a key");
+            assert!(scanned.is_subset(&after), "op {k}: phantom key");
+        }
     }
 }

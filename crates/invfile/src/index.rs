@@ -200,13 +200,14 @@ impl InvertedFile {
     /// intra-batch parallelism.
     ///
     /// The batch is applied in two phases. Phase one stages every rewritten
-    /// list into fresh heap runs ([`HeapFile::try_put_staged`]) — across
-    /// `threads` workers when the pool's concurrent write path is enabled —
-    /// without touching the directory or any statistic. Phase two commits
-    /// the staged runs and flips the statistics. A page fault in phase one
-    /// therefore leaves the index observably unchanged (orphan runs aside,
-    /// reclaimed by the usual compaction): no partial batch, reads stay
-    /// exact.
+    /// list into fresh heap runs ([`HeapFile::try_put_staged`]) across
+    /// `threads` workers, without touching the directory or any statistic;
+    /// staged runs are fresh pages nothing references yet, so parallel
+    /// staging needs no coordination beyond the pool's own locking. Phase
+    /// two commits the staged runs and flips the statistics. A page fault
+    /// in phase one therefore leaves the index observably unchanged
+    /// (orphan runs aside, reclaimed by the usual compaction): no partial
+    /// batch, reads stay exact.
     ///
     /// Contract violations (stale ids, out-of-vocabulary items) are caller
     /// bugs and still panic.
@@ -239,7 +240,7 @@ impl InvertedFile {
             let enc = codec::postings::encode_postings_mode(&list, self.compression);
             self.store.try_put_staged(item, &enc)
         };
-        let staged = if threads > 1 && self.pager().concurrent_writes() {
+        let staged = if threads > 1 {
             let results = pagestore::par_map(items.len(), threads, |i| stage(items[i]));
             results.into_iter().collect::<Result<Vec<_>, _>>()?
         } else {
@@ -333,7 +334,6 @@ mod tests {
         let mut serial = InvertedFile::build(&d);
         serial.batch_insert(&build_batch());
         let pager = Pager::with_cache_bytes(1 << 20);
-        pager.set_concurrent_writes(true);
         let mut threaded = InvertedFile::builder(&d).pager(pager).build();
         threaded.try_batch_insert(&build_batch(), 4).unwrap();
         assert_eq!(threaded.num_records(), serial.num_records());

@@ -20,12 +20,12 @@
 //!   never contend on a pool-wide lock. Guard drops are a single atomic
 //!   decrement with no lock at all.
 //! * **Miss path — one policy lock.** Misses, eviction, allocation, writes
-//!   and statistics share the `policy` mutex guarding the disk, the
-//!   cold/hot eviction lists and the miss counters. Eviction latches only
-//!   its victim: it re-checks the victim's pin count under that frame's
-//!   shard *write* latch, so a frame observed unpinned there can have no
-//!   reader about to materialise a view (readers pin under the read
-//!   latch).
+//!   (including in-place edits), flushes and statistics share the `policy`
+//!   mutex guarding the disk, the cold/hot eviction lists and the miss
+//!   counters. Eviction latches only its victim: it re-checks the
+//!   victim's pin count under that frame's shard *write* latch, so a
+//!   frame observed unpinned there can have no reader about to
+//!   materialise a view (readers pin under the read latch).
 //!
 //! Lock order is `policy → shard map → shard touch log`; the hit path
 //! takes shard latches only and never waits on the policy lock while
@@ -313,22 +313,6 @@ pub struct BufferPool {
     /// modeled step. Never compiled into production builds.
     #[cfg(feature = "model")]
     model_break_evictor_pin_recheck: std::sync::atomic::AtomicBool,
-    /// Opt-in for the concurrent write path (optimistic lock coupling):
-    /// when set, flushes read frames through seqlock-validated snapshots
-    /// (skipping frames a latched writer currently holds) instead of raw
-    /// borrows. Off by default so the single-writer page-access counts —
-    /// the paper's golden gates — stay bit-for-bit. A plain std atomic:
-    /// it is configuration flipped before threads race, not a protocol
-    /// step the model checker needs to reorder.
-    concurrent_writes: std::sync::atomic::AtomicBool,
-    /// Mutation hook for the OLC model's teeth test: when set, versioned
-    /// pages report every snapshot as valid — readers stop noticing
-    /// concurrent latched writers, the exact bug the seqlock exists to
-    /// prevent — so `tests/model.rs` can assert the checker finds the
-    /// torn-read schedule deterministically. Never compiled into
-    /// production builds.
-    #[cfg(feature = "model")]
-    model_break_olc_version_check: std::sync::atomic::AtomicBool,
 }
 
 impl BufferPool {
@@ -370,51 +354,6 @@ impl BufferPool {
             commit_queue: crate::commit::CommitQueue::new(),
             #[cfg(feature = "model")]
             model_break_evictor_pin_recheck: std::sync::atomic::AtomicBool::new(false),
-            concurrent_writes: std::sync::atomic::AtomicBool::new(false),
-            #[cfg(feature = "model")]
-            model_break_olc_version_check: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Opt this pool in to (or out of) the concurrent write path. With it
-    /// on, latched page writes ([`BufferPool::try_with_page_mut`]) may run
-    /// while readers hold pins, and flushes snapshot frames through the
-    /// content seqlock. Flip it before concurrent writers start; the
-    /// default (off) keeps the historical single-writer behaviour and page
-    /// accounting bit-for-bit.
-    pub fn set_concurrent_writes(&self, on: bool) {
-        self.concurrent_writes
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether the concurrent write path is enabled.
-    pub fn concurrent_writes(&self) -> bool {
-        self.concurrent_writes
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Disable optimistic version validation (model builds only; see the
-    /// field doc). The checker must then find the torn-snapshot schedule —
-    /// the mutation test proving the OLC model has teeth.
-    #[cfg(feature = "model")]
-    pub fn model_break_olc_version_check(&self) {
-        self.model_break_olc_version_check
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether optimistic snapshots actually validate (always, outside
-    /// model builds).
-    #[inline]
-    pub(crate) fn olc_version_check_enabled(&self) -> bool {
-        #[cfg(feature = "model")]
-        {
-            !self
-                .model_break_olc_version_check
-                .load(std::sync::atomic::Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "model"))]
-        {
-            true
         }
     }
 
@@ -612,10 +551,9 @@ impl BufferPool {
     /// Pinned dirty frames are flushed too: the policy lock excludes every
     /// writer (`write_page`, recycling), so reading their buffers here is
     /// safe, and their pins only protect the bytes from *changing*, which a
-    /// write-back does not do. With the concurrent write path enabled,
-    /// frames held by an *active* latched writer are skipped (they stay
-    /// dirty for the next flush) — quiesce writers before `sync` when the
-    /// barrier must cover every in-flight mutation.
+    /// write-back does not do. In-place edits
+    /// ([`BufferPool::try_with_page_mut`]) hold the policy lock too, so a
+    /// flush never sees a half-edited page.
     pub fn sync(&self) -> Result<(), StorageError> {
         let mut core = self.policy.lock();
         // A degraded pool refuses the barrier outright: a prior write-back
@@ -640,37 +578,12 @@ impl BufferPool {
             .map(|(&phys, &idx)| (phys, idx))
             .collect();
         dirty.sort_unstable_by_key(|&(phys, _)| phys);
-        let concurrent = self.concurrent_writes();
-        let mut scratch: Option<Box<[u8; PAGE_SIZE]>> = None;
         for (phys, idx) in dirty {
             let slot = core.entry(idx).slot.clone();
-            let write_res = if concurrent {
-                // Concurrent write path: a latched writer may be mutating
-                // the buffer right now, so flush a seqlock-validated
-                // snapshot. A frame whose writer stays active through the
-                // bounded attempts is *skipped* (it keeps its dirty flag
-                // and reaches the medium on the next flush) — never waited
-                // on, since that writer may itself be waiting for the
-                // policy lock we hold.
-                let buf = scratch.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-                let mut consistent = false;
-                for _ in 0..crate::frame::OPTIMISTIC_SNAPSHOT_RETRIES {
-                    if slot.try_snapshot_into(buf).is_some() {
-                        consistent = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                if !consistent {
-                    continue;
-                }
-                core.disk.write_phys(phys, &buf[..])
-            } else {
-                // SAFETY: the policy lock is held and (single-writer mode)
-                // every mutation path takes it, so the buffer cannot be
-                // mutated or recycled while we read it.
-                core.disk.write_phys(phys, unsafe { slot.bytes() })
-            };
+            // SAFETY: the policy lock is held and every mutation path
+            // takes it, so the buffer cannot be mutated or recycled while
+            // we read it.
+            let write_res = core.disk.write_phys(phys, unsafe { slot.bytes() });
             if let Err(e) = write_res {
                 // The frame keeps its dirty flag — nothing was lost — but
                 // the pool flips to degraded read-only mode: the medium is
@@ -759,35 +672,11 @@ impl BufferPool {
             .collect();
         dirty.sort_unstable_by_key(|&(phys, _)| phys);
         dirty.truncate(max_pages);
-        let concurrent = self.concurrent_writes();
-        let mut scratch: Option<Box<[u8; PAGE_SIZE]>> = None;
         let mut flushed = 0u64;
         for &(phys, idx) in &dirty {
             let slot = core.entry(idx).slot.clone();
-            let write_res = if concurrent {
-                // Same skip-don't-wait discipline as `sync`: a frame held
-                // by an active latched writer stays dirty for a later
-                // slice rather than deadlocking against a writer that
-                // needs the policy lock we hold.
-                let buf = scratch.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-                let mut consistent = false;
-                for _ in 0..crate::frame::OPTIMISTIC_SNAPSHOT_RETRIES {
-                    if slot.try_snapshot_into(buf).is_some() {
-                        consistent = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                if !consistent {
-                    continue;
-                }
-                core.disk.write_phys(phys, &buf[..])
-            } else {
-                // SAFETY: the policy lock is held and (single-writer mode)
-                // every mutation path takes it, so the buffer cannot be
-                // mutated or recycled while we read it.
-                core.disk.write_phys(phys, unsafe { slot.bytes() })
-            };
+            // SAFETY: as in `sync` — the policy lock excludes every writer.
+            let write_res = core.disk.write_phys(phys, unsafe { slot.bytes() });
             if let Err(e) = write_res {
                 // The frame keeps its dirty flag; the pool degrades just
                 // like a failed `sync` write-back would.
@@ -1132,6 +1021,26 @@ impl BufferPool {
     /// if the page is pinned (that is a caller bug, not a media fault).
     pub fn try_write_page(&self, file: FileId, page: PageId, data: &[u8]) -> Result<(), PageError> {
         assert_eq!(data.len(), PAGE_SIZE, "write_page requires a full page");
+        self.try_with_page_mut(file, page, |buf| buf.copy_from_slice(data))
+    }
+
+    /// Edit a page **in place**: the page is fetched like any write (same
+    /// miss accounting as [`BufferPool::try_write_page`]), `f` gets its
+    /// buffer, and the frame is marked dirty.
+    ///
+    /// The edit is exclusive. It runs under the policy lock (so no flush,
+    /// eviction or other write interleaves) and the owning shard's write
+    /// latch (so no reader can pin the frame), and it panics if the page is
+    /// already pinned — a live [`PageGuard`](crate::PageGuard) on it is a
+    /// caller bug. `f` must not call back into the pool: both locks are
+    /// held while it runs. Refused with [`PageError::ReadOnly`] when the
+    /// pool is degraded, before any byte moves.
+    pub fn try_with_page_mut<R>(
+        &self,
+        file: FileId,
+        page: PageId,
+        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
+    ) -> Result<R, PageError> {
         let mut core = self.policy.lock();
         if let Some(cause) = &core.read_only {
             return Err(PageError::ReadOnly {
@@ -1142,9 +1051,9 @@ impl BufferPool {
         let idx = self.try_fetch_locked(&mut core, file, page)?;
         let entry = core.entry(idx);
         let shard = self.shard_of(entry.key);
-        {
+        let r = {
             // The shard write latch excludes concurrent pinners for the
-            // duration of the copy.
+            // duration of the edit.
             let _map = shard.map.write();
             assert_eq!(
                 entry.slot.pin_count(),
@@ -1152,85 +1061,12 @@ impl BufferPool {
                 "cannot write page {page} of {file:?}: page is pinned"
             );
             // SAFETY: no pins exist and none can be acquired while we hold
-            // the shard write latch, so the buffer is exclusively ours.
-            unsafe { entry.slot.buffer_mut().copy_from_slice(data) };
-        }
+            // the shard write latch, and the policy lock keeps flushes out,
+            // so the buffer is exclusively ours.
+            f(unsafe { entry.slot.buffer_mut() })
+        };
         core.entry_mut(idx).dirty = true;
-        Ok(())
-    }
-
-    /// Mark the cached frame holding `phys` dirty. The caller must hold a
-    /// pin on it (so the mapping cannot change under us).
-    fn mark_dirty_phys(&self, phys: u64) {
-        let mut core = self.policy.lock();
-        if let Some(&idx) = core.map.get(&phys) {
-            core.entry_mut(idx).dirty = true;
-        }
-    }
-
-    /// Edit a page **in place** under the frame's write latch — the
-    /// concurrent write path's mutation primitive. The page is pinned and
-    /// fetched like any read (same miss accounting), the frame latch is
-    /// taken exclusively, the content seqlock goes odd, and `f` gets the
-    /// raw buffer; concurrent optimistic readers either retry or block on
-    /// the shared latch, and never observe a torn page.
-    ///
-    /// Refused with [`PageError::ReadOnly`] when the pool is degraded
-    /// (checked before any byte moves). Unlike
-    /// [`BufferPool::try_write_page`] this works *with* reader pins
-    /// outstanding — that is its whole point — so callers must route every
-    /// concurrent read of such pages through versioned snapshots
-    /// ([`crate::VersionedPage`]), not plain guards.
-    ///
-    /// `f` may call back into the pool (e.g. to allocate or latch another
-    /// page, as a structure modification must): policy-lock holders never
-    /// block on frame latches (flushes skip latched frames), so the nested
-    /// acquisition cannot deadlock.
-    pub fn try_with_page_mut<R>(
-        &self,
-        file: FileId,
-        page: PageId,
-        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
-    ) -> Result<R, PageError> {
-        let pinned = self.try_acquire(file, page)?;
-        let phys = pinned.slot().phys();
-        {
-            // Degraded gate + pre-mark dirty under the policy lock, before
-            // any byte moves.
-            let mut core = self.policy.lock();
-            if let Some(cause) = &core.read_only {
-                return Err(PageError::ReadOnly {
-                    cause: cause.clone(),
-                });
-            }
-            if let Some(&idx) = core.map.get(&phys) {
-                core.entry_mut(idx).dirty = true;
-            }
-        }
-        let slot = pinned.slot();
-        let r = slot.with_latched_write(|| {
-            // SAFETY: inside `with_latched_write` the frame latch is held
-            // exclusively and the content seqlock is odd — the concurrent-
-            // path exclusivity contract of `buffer_mut`.
-            f(unsafe { slot.buffer_mut() })
-        });
-        // Re-mark dirty: a flush between the pre-mark and the latch
-        // acquisition may have written the old bytes back and cleared the
-        // flag; the mutation must not be silently lost to eviction. The
-        // pin held above guarantees the mapping is unchanged.
-        self.mark_dirty_phys(phys);
         Ok(r)
-    }
-
-    /// Pin a page for versioned optimistic reads — the concurrent write
-    /// path's read primitive (see [`crate::VersionedPage`]). Accounting is
-    /// identical to any other pin.
-    pub(crate) fn try_pin_versioned_slot(
-        &self,
-        file: FileId,
-        page: PageId,
-    ) -> Result<PinnedSlot, PageError> {
-        self.try_acquire(file, page)
     }
 
     /// Write every dirty unpinned frame back to disk (charging write costs)

@@ -216,47 +216,9 @@ impl Pager {
         self.inner.try_write_page(file, page, data)
     }
 
-    /// Opt this pager's pool in to (or out of) the concurrent write path —
-    /// optimistic lock coupling over per-frame seqlocks, the foundation of
-    /// the B⁺-tree's multi-writer `batch_insert`. Off by default: the
-    /// single-writer path (and the paper's page-access counts) stay
-    /// bit-for-bit unchanged. See [`Pager::try_with_page_mut`] and
-    /// [`VersionedPage`].
-    pub fn set_concurrent_writes(&self, on: bool) {
-        self.inner.set_concurrent_writes(on)
-    }
-
-    /// Whether the concurrent write path is enabled on this pool.
-    pub fn concurrent_writes(&self) -> bool {
-        self.inner.concurrent_writes()
-    }
-
-    /// Mutation hook for the OLC model's teeth test (model builds only):
-    /// see [`BufferPool::model_break_olc_version_check`].
-    #[cfg(feature = "model")]
-    pub fn model_break_olc_version_check(&self) {
-        self.inner.model_break_olc_version_check()
-    }
-
-    /// Pin a page for *versioned* optimistic reads — the concurrent write
-    /// path's read primitive. The returned handle holds a normal pin
-    /// (same accounting as [`Pager::try_pin_page`]) but exposes the page
-    /// only through seqlock-validated snapshots, which stay consistent
-    /// even while a latched writer mutates the frame in place.
-    pub fn try_pin_versioned(
-        &self,
-        file: FileId,
-        page: PageId,
-    ) -> Result<VersionedPage, PageError> {
-        let pinned = self.inner.try_pin_versioned_slot(file, page)?;
-        Ok(VersionedPage {
-            pinned,
-            checks: self.inner.olc_version_check_enabled(),
-        })
-    }
-
-    /// Edit a page in place under its frame write latch — the concurrent
-    /// write path's mutation primitive; see
+    /// Edit a page in place: exclusive, under the pool's policy lock and
+    /// the frame's shard write latch, and panicking if the page is pinned;
+    /// `f` must not call back into the pool. See
     /// [`BufferPool::try_with_page_mut`] for the full contract. Refused
     /// with [`PageError::ReadOnly`] on a degraded pool, before any byte
     /// moves.
@@ -477,70 +439,6 @@ impl std::fmt::Debug for PageGuard {
     }
 }
 
-/// A pin on one cached page exposing **versioned** reads for the
-/// concurrent write path (optimistic lock coupling).
-///
-/// Obtained from [`Pager::try_pin_versioned`]. Unlike [`PageGuard`] it
-/// never hands out a borrow of the frame bytes — a latched writer
-/// ([`Pager::try_with_page_mut`]) may be mutating them in place at any
-/// moment. Instead, [`VersionedPage::snapshot_into`] copies a
-/// *seqlock-consistent* image of the page into a caller buffer and
-/// returns the content version it reflects; [`VersionedPage::validate`]
-/// later re-checks that version, which is how an OLC descent detects that
-/// a node changed under it and must restart.
-///
-/// The pin protects the frame from eviction and recycling, so the content
-/// version is always compared against the same page incarnation.
-pub struct VersionedPage {
-    pinned: PinnedSlot,
-    /// Whether snapshots/validation actually check the seqlock — always,
-    /// except under the model suite's `model_break_olc_version_check`
-    /// mutation hook.
-    checks: bool,
-}
-
-impl VersionedPage {
-    /// The page's current content version (even when no latched writer is
-    /// active).
-    pub fn version(&self) -> u64 {
-        self.pinned.slot().content_version()
-    }
-
-    /// Copy a consistent image of the page into `out` and return the
-    /// content version it reflects: a few lock-free optimistic attempts,
-    /// then a blocking shared-latch copy (so the call always succeeds and
-    /// stays finite under the model checker). Callers must not hold the
-    /// pool's policy lock.
-    pub fn snapshot_into(&self, out: &mut [u8; PAGE_SIZE]) -> u64 {
-        if !self.checks {
-            // Mutation-hook mode: raw unvalidated copy — torn reads become
-            // possible, which is exactly what the model's teeth test must
-            // catch.
-            let slot = self.pinned.slot();
-            out.copy_from_slice(self.pinned.bytes());
-            return slot.content_version();
-        }
-        self.pinned.slot().snapshot_into(out)
-    }
-
-    /// Whether the page content is still at `version` — the OLC
-    /// re-validation step: `false` means a latched writer committed (or is
-    /// committing) a change since the snapshot, and the caller must
-    /// restart its descent.
-    pub fn validate(&self, version: u64) -> bool {
-        !self.checks || self.pinned.slot().content_version() == version
-    }
-}
-
-impl std::fmt::Debug for VersionedPage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VersionedPage")
-            .field("phys", &self.pinned.slot().phys())
-            .field("version", &self.version())
-            .finish()
-    }
-}
-
 impl std::fmt::Debug for Pager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pager")
@@ -557,7 +455,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Pager>();
     assert_send_sync::<PageGuard>();
-    assert_send_sync::<VersionedPage>();
     assert_send_sync::<BufferPool>();
 };
 

@@ -57,6 +57,8 @@ struct FaultPlan {
     /// Every (file, page) → phys translation the pool asked for, so tests
     /// can target faults at logical pages without knowing the layout.
     phys_of: HashMap<(u32, PageId), PhysPage>,
+    /// Every successful `write_phys`, in order: what reached the medium.
+    written: Vec<(PhysPage, Vec<u8>)>,
 }
 
 /// An in-memory [`Storage`] whose faults are scripted by a [`FaultPlan`].
@@ -111,11 +113,13 @@ impl Storage for ScriptedDisk {
         self.inner.read_phys(phys, out)
     }
     fn write_phys(&mut self, phys: PhysPage, data: &[u8]) -> Result<(), StorageError> {
-        if self.plan.lock().expect("plan lock").fail_writes {
+        let mut plan = self.plan.lock().expect("plan lock");
+        if plan.fail_writes {
             return Err(StorageError::Io(std::io::Error::other(
                 "scripted dead sector",
             )));
         }
+        plan.written.push((phys, data.to_vec()));
         self.inner.write_phys(phys, data)
     }
     fn put_catalog(&mut self, key: &str, bytes: &[u8]) {
@@ -428,99 +432,61 @@ fn commit_queue_failure_reaches_every_committer() {
     });
 }
 
-/// The OLC read/write protocol: a versioned reader racing a latched
-/// in-place writer must, in every interleaving, come back with a snapshot
-/// that is (a) whole — all-old or all-new bytes, never a mix, (b) stamped
-/// with an even (quiescent) content version, and (c) *current* whenever
-/// the version still validates after the writer committed. This is the
-/// exact contract the B⁺-tree's optimistic descents rest on.
+/// The in-place write protocol: an edit through `try_with_page_mut`
+/// holds the pool's policy lock for its whole duration, and both flush
+/// paths (`checkpoint_slice` and `sync`) read frames under that lock.
+/// Racing an edit — with a schedule point between its two halves — against
+/// a checkpoint slice and a sync on another thread, every image that
+/// reaches the medium must be all-old or all-new bytes, never a mix, and
+/// a final sync must land the new image.
 #[test]
-fn olc_snapshot_vs_latched_writer_stays_consistent() {
+fn in_place_edit_vs_sync_and_checkpoint_flushes_whole_pages() {
     check_exhaustive(|| {
-        let pager = Pager::with_cache_bytes(2 * PAGE_SIZE);
-        pager.set_concurrent_writes(true);
+        let (disk, plan) = ScriptedDisk::new();
+        let pager = Pager::with_storage(disk, 2 * PAGE_SIZE);
         let f = pager.create_file();
         pager.allocate_page(f);
         pager.write_page(f, 0, &pattern(0xAA));
 
-        let writer = {
+        let flusher = {
             let pager = pager.clone();
             loom::thread::spawn(move || {
-                pager
-                    .try_with_page_mut(f, 0, |b| b.fill(0xCC))
-                    .expect("latched in-place edit");
+                pager.checkpoint_slice(1).expect("checkpoint slice");
+                pager.sync().expect("sync");
             })
         };
-        let vp = pager.try_pin_versioned(f, 0).expect("versioned pin");
-        let mut snap = Box::new([0u8; PAGE_SIZE]);
-        let v = vp.snapshot_into(&mut snap);
-        assert_eq!(v & 1, 0, "snapshot stamped with a mid-write version");
-        let first = snap[0];
-        assert!(
-            snap.iter().all(|&b| b == first),
-            "torn snapshot: mixed bytes"
-        );
-        assert!(
-            first == 0xAA || first == 0xCC,
-            "impossible bytes {first:#x}"
-        );
-        writer.join().expect("writer");
-        // The writer has committed: a version that still validates proves
-        // the snapshot already was the committed image.
-        if vp.validate(v) {
-            assert_eq!(first, 0xCC, "validated snapshot must be current");
+        pager
+            .try_with_page_mut(f, 0, |b| {
+                b[..PAGE_SIZE / 2].fill(0xCC);
+                loom::thread::yield_now();
+                b[PAGE_SIZE / 2..].fill(0xCC);
+            })
+            .expect("in-place edit");
+        flusher.join().expect("flusher");
+        pager.sync().expect("final sync");
+
+        let plan = plan.lock().expect("plan lock");
+        let phys = plan.phys_of[&(f.0, 0)];
+        let images: Vec<&Vec<u8>> = plan
+            .written
+            .iter()
+            .filter(|(p, _)| *p == phys)
+            .map(|(_, bytes)| bytes)
+            .collect();
+        for image in &images {
+            let first = image[0];
+            assert!(
+                image.iter().all(|&b| b == first),
+                "torn page flushed: mixed bytes"
+            );
+            assert!(
+                first == 0xAA || first == 0xCC,
+                "impossible bytes {first:#x}"
+            );
         }
-        pager.with_page(f, 0, |b| assert_eq!(b[0], 0xCC));
+        let last = images.last().expect("the final sync flushes the edit");
+        assert_eq!(last[0], 0xCC, "the edit must reach the medium");
     });
-}
-
-/// Mutation teeth for the OLC protocol: disabling the reader's seqlock
-/// validation (via the `model`-only hook) must make the checker find a
-/// schedule where the raw copy lands mid-write — caught deterministically,
-/// with a replayable schedule string.
-#[test]
-fn mutation_disabled_olc_version_check_is_caught() {
-    fn body() {
-        let pager = Pager::with_cache_bytes(2 * PAGE_SIZE);
-        pager.set_concurrent_writes(true);
-        pager.model_break_olc_version_check();
-        let f = pager.create_file();
-        pager.allocate_page(f);
-        pager.write_page(f, 0, &pattern(0xAA));
-        let writer = {
-            let pager = pager.clone();
-            loom::thread::spawn(move || {
-                pager
-                    .try_with_page_mut(f, 0, |b| b.fill(0xCC))
-                    .expect("latched in-place edit");
-            })
-        };
-        let vp = pager.try_pin_versioned(f, 0).expect("versioned pin");
-        let mut snap = Box::new([0u8; PAGE_SIZE]);
-        let v = vp.snapshot_into(&mut snap);
-        assert_eq!(v & 1, 0, "snapshot stamped with a mid-write version");
-        writer.join().expect("writer");
-    }
-
-    let run = || loom::Builder::new().preemption_bound(2).check_result(body);
-    let failure = run().expect_err("unvalidated snapshots must yield a failing schedule");
-    assert!(
-        !failure.schedule.is_empty(),
-        "failure must carry a replayable schedule"
-    );
-
-    // Determinism: a second full exploration finds the same schedule with
-    // the same diagnosis.
-    let again = run().expect_err("second run must fail too");
-    assert_eq!(failure.schedule, again.schedule, "search is deterministic");
-    assert_eq!(failure.message, again.message);
-
-    // And the recorded schedule replays byte-for-byte to the same failure.
-    let replayed = loom::Builder::new()
-        .replay(&failure.schedule)
-        .check_result(body)
-        .expect_err("replay must reproduce the failure");
-    assert_eq!(replayed.message, failure.message);
 }
 
 /// The degraded read-only flip vs. in-flight writes: once a write-back

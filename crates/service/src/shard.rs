@@ -311,8 +311,7 @@ impl Shard {
     }
 
     /// Fallible twin of [`Shard::apply_insert`], staging list rewrites
-    /// across `threads` workers when the pool's concurrent write path is
-    /// enabled. On error no statistic or planner state has changed — the
+    /// across `threads` workers. On error no statistic or planner state has changed — the
     /// inverted file's two-phase batch leaves reads exact — so the shard
     /// keeps serving while the caller surfaces the typed fault.
     pub(crate) fn try_apply_insert(

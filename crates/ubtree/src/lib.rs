@@ -276,24 +276,18 @@ impl UnorderedBTree {
     ///
     /// Record ids must be fresh and larger than every indexed id.
     pub fn batch_insert(&mut self, records: &[Record]) {
-        self.try_batch_insert(records, 1)
+        self.try_batch_insert(records)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`UnorderedBTree::batch_insert`], inserting the
-    /// new blocks across `threads` workers when the pool's concurrent
-    /// write path is enabled. The index statistics flip only after every
-    /// block has landed, so a failed batch leaves the counters untouched
+    /// Fallible twin of [`UnorderedBTree::batch_insert`]. The index
+    /// statistics flip only after every block has landed, so a failed batch leaves the counters untouched
     /// (a degraded pool may retain a prefix of the new blocks; the
     /// service layer fences the shard unhealthy either way).
     ///
     /// Contract violations (stale ids, out-of-vocabulary items) are
     /// caller bugs and still panic.
-    pub fn try_batch_insert(
-        &mut self,
-        records: &[Record],
-        threads: usize,
-    ) -> Result<(), btree::BTreeError> {
+    pub fn try_batch_insert(&mut self, records: &[Record]) -> Result<(), btree::BTreeError> {
         let mut additions: HashMap<ItemId, Vec<Posting>> = HashMap::new();
         let mut max_id = self.max_id;
         for r in records {
@@ -326,7 +320,7 @@ impl UnorderedBTree {
                 entries.push((encode_key(item, last).to_vec(), enc.finish()));
             }
         }
-        self.tree.try_batch_insert(&entries, threads)?;
+        self.tree.try_batch_insert(&entries)?;
         for r in records {
             self.max_id = r.id;
             self.num_records += 1;

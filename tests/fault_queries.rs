@@ -20,7 +20,7 @@ use set_containment::datagen::{Dataset, QueryKind, SyntheticSpec, WorkloadSpec};
 use set_containment::invfile::InvertedFile;
 use set_containment::oif::{DynContainmentIndex, Oif};
 use set_containment::pagestore::{
-    Clock, FaultConfig, FaultHandle, FaultStorage, FileStorage, PageError, Pager,
+    Clock, FaultConfig, FaultHandle, FaultStorage, FileStorage, PageError, Pager, PAGE_SIZE,
 };
 use set_containment::ubtree::UnorderedBTree;
 use std::sync::Arc;
@@ -361,6 +361,111 @@ fn write_faults_mid_batch_surface_typed_and_reads_stay_exact() {
             let got = ContainmentIndex::try_eval(&inv, *kind, q)
                 .unwrap_or_else(|e| panic!("[write faults] {kind:?} {q:?}: {e}"));
             assert_eq!(&got, want, "[write faults] {kind:?} {q:?}");
+        }
+    }
+}
+
+#[test]
+fn write_faults_at_every_op_of_a_ubtree_batch_keep_answers_between_oracles() {
+    // The B⁺-tree leg of the write-fault sweep: fail every mutating I/O op
+    // from op `k` on, for each `k` a fault-free batch issues. A split
+    // writes its fresh right sibling before any existing node, and the
+    // existing nodes top-down, so whichever write fails first every record
+    // indexed before the batch stays reachable: each answer afterwards lies
+    // between the pre-batch and the post-batch brute-force oracles. The
+    // one-page cache makes every access an eviction, so write-backs fail
+    // between a split's page writes.
+    use set_containment::btree::BTreeError;
+    use set_containment::datagen::{brute, Record};
+    use set_containment::oif::ContainmentIndex;
+
+    let d = SyntheticSpec {
+        num_records: 4000,
+        vocab_size: 24,
+        zipf: 0.8,
+        len_min: 1,
+        len_max: 8,
+        seed: 5,
+    }
+    .generate();
+    let batch: Vec<Record> = (0..1500u32)
+        .map(|i| {
+            Record::new(
+                10_000 + u64::from(i),
+                vec![i % 24, i * 7 % 24, (i * 5 + 3) % 24],
+            )
+        })
+        .collect();
+    let mut after = d.clone();
+    after.records.extend(batch.iter().cloned());
+    // Every item's whole list (a one-item subset query), plus mixed kinds.
+    let mut queries: Vec<(QueryKind, Vec<u32>)> =
+        (0..24).map(|i| (QueryKind::Subset, vec![i])).collect();
+    for (kind, qs) in workload(&after) {
+        queries.extend(qs.into_iter().map(|q| (kind, q)));
+    }
+    let oracle = |d: &Dataset, kind: QueryKind, q: &[u32]| match kind {
+        QueryKind::Subset => brute::subset(d, q),
+        QueryKind::Equality => brute::equality(d, q),
+        QueryKind::Superset => brute::superset(d, q),
+    };
+    // Per query: the pre-batch and the post-batch answer.
+    let bounds: Vec<(Vec<u64>, Vec<u64>)> = queries
+        .iter()
+        .map(|(kind, q)| (oracle(&d, *kind, q), oracle(&after, *kind, q)))
+        .collect();
+    // Build and persist once; every run reopens the committed image.
+    let image = {
+        let (storage, h) = FaultStorage::create(FaultConfig::default()).expect("create in-proc");
+        let ub = UnorderedBTree::builder(&d)
+            .pager(Pager::with_storage(storage, PAGE_SIZE))
+            .build();
+        ub.persist().expect("fault-free persist");
+        h.disk_image()
+    };
+    let reopen = || {
+        let (storage, h) =
+            FaultStorage::open_image(image.clone(), FaultConfig::default()).expect("reopen");
+        let pager = Pager::with_storage(storage, PAGE_SIZE);
+        pager.set_retry_clock(Arc::new(NoSleep));
+        (UnorderedBTree::open(pager).expect("committed catalog"), h)
+    };
+
+    // Fault-free dry run: how many mutating ops the batch issues.
+    let (mut ub, h) = reopen();
+    let start = h.ops();
+    ub.try_batch_insert(&batch).expect("fault-free batch");
+    let batch_ops = h.ops() - start;
+    assert!(
+        batch_ops > 0,
+        "the batch must write back through the 1-page cache"
+    );
+
+    for k in 0..batch_ops {
+        let (mut ub, h) = reopen();
+        let ops = h.ops();
+        // Every write from op `k` on fails (a degraded pool issues no more
+        // write-backs, so twice the fault-free count is plenty).
+        h.set_fault_config(FaultConfig {
+            transient_writes: (ops + k..ops + 2 * batch_ops).collect(),
+            ..FaultConfig::default()
+        });
+        match ub.try_batch_insert(&batch) {
+            Err(BTreeError::Page(_)) => {}
+            Err(e) => panic!("op {k}: untyped batch failure {e}"),
+            // The failed write-back was the batch's last access, which
+            // itself completed in cache: the persist must refuse instead.
+            Ok(()) => assert!(ub.persist().is_err(), "op {k}: persist on a dead medium"),
+        }
+        assert!(ub.pager().degraded().is_some(), "op {k}: pool must degrade");
+        for ((kind, q), (pre, post)) in queries.iter().zip(&bounds) {
+            let mut got = ContainmentIndex::try_eval(&ub, *kind, q)
+                .unwrap_or_else(|e| panic!("op {k}: {kind:?} {q:?}: {e}"));
+            got.sort_unstable();
+            let lost = pre.iter().find(|id| got.binary_search(id).is_err());
+            assert_eq!(lost, None, "op {k}: {kind:?} {q:?} lost a record");
+            let phantom = got.iter().find(|id| post.binary_search(id).is_err());
+            assert_eq!(phantom, None, "op {k}: {kind:?} {q:?} phantom record");
         }
     }
 }

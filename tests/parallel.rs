@@ -127,24 +127,25 @@ fn oif_par_eval_repeated_rounds_stay_identical() {
 #[test]
 fn btree_mixed_readers_and_writers_linearize_to_serial_oracle() {
     // The write-path acceptance test: concurrent cursors and point gets
-    // race `try_batch_insert` writers on one OLC-enabled tree. During the
-    // race no reader may observe a lost seed record or a phantom; once the
-    // writers quiesce the tree must be *exactly* the serial oracle.
+    // race `try_batch_insert` writers on one tree shared through an
+    // `RwLock` (writes take `&mut BTree`, reads `&BTree`). During the race
+    // no reader may observe a lost seed record or a phantom; once the
+    // writers finish the tree must be *exactly* the serial oracle.
     use set_containment::btree::BTree;
     use set_containment::pagestore::Pager;
     use std::collections::BTreeMap;
+    use std::sync::RwLock;
 
-    let pager = Pager::with_cache_bytes(1 << 20);
-    pager.set_concurrent_writes(true);
     let tree = {
-        let mut t = BTree::create(pager);
+        let mut t = BTree::create(Pager::with_cache_bytes(1 << 20));
         for i in 0..800u32 {
             t.insert(&(i * 5).to_be_bytes(), &(i * 5).to_le_bytes())
                 .unwrap();
         }
-        t
+        RwLock::new(t)
     };
     const WRITERS: usize = 4;
+    const CHUNK: usize = 50;
     let batches: Vec<Vec<(Vec<u8>, Vec<u8>)>> = (0..WRITERS as u64)
         .map(|w| {
             (0..600u64)
@@ -172,14 +173,23 @@ fn btree_mixed_readers_and_writers_linearize_to_serial_oracle() {
         for batch in &batches {
             let tree = &tree;
             s.spawn(move || {
-                let fresh = tree.try_batch_insert(batch, 1).expect("batch insert");
-                assert_eq!(fresh, batch.len() as u64, "writer keys are disjoint");
+                // Small chunks, one write lock each, so readers interleave
+                // with the writers throughout.
+                for chunk in batch.chunks(CHUNK) {
+                    let fresh = tree
+                        .write()
+                        .unwrap()
+                        .try_batch_insert(chunk)
+                        .expect("batch insert");
+                    assert_eq!(fresh, chunk.len() as u64, "writer keys are disjoint");
+                }
             });
         }
         for r in 0..3usize {
             let (tree, oracle) = (&tree, &oracle);
             s.spawn(move || {
                 for round in 0..40usize {
+                    let tree = tree.read().unwrap();
                     // Point gets: a seed record can never be lost.
                     let i = ((r * 131 + round * 17) % 800) as u32;
                     let key = (i * 5).to_be_bytes();
@@ -210,6 +220,7 @@ fn btree_mixed_readers_and_writers_linearize_to_serial_oracle() {
     });
 
     // Quiesced: the final image is the serial oracle, record for record.
+    let tree = tree.into_inner().unwrap();
     tree.check_invariants();
     assert_eq!(tree.len(), oracle.len() as u64);
     let mut cursor = tree.scan();
