@@ -14,12 +14,14 @@
 //! latency falls (and throughput climbs) as `S` grows, until per-shard
 //! constant costs (tree descents replicated on every shard) flatten the
 //! curve. A second series pins the planner to each structure at the widest
-//! point, showing what the cost-based choice buys over any single
-//! structure.
+//! point, comparing the default planner with every single structure.
 //!
 //! Prints one table row per point and, when the `BENCH_JSON` environment
 //! variable names a file, writes the same rows as a JSON array (the CI
-//! workflow emits `BENCH_service.json` this way).
+//! workflow emits `BENCH_service.json` this way). Exits non-zero unless
+//! the default planner's row at the widest point reads exactly the pages
+//! per query of the pinned-OIF row: page counts are deterministic, so the
+//! default is never worse than the best fixed structure.
 
 use datagen::{QueryKind, SyntheticSpec, WorkloadSpec};
 use service::{IndexKind, PlannerMode, Query, Service, ServiceConfig};
@@ -103,7 +105,7 @@ fn main() {
         "Serving layer — batch throughput vs shard count",
         &format!(
             "|D| = 10M/{s}, |I| = 2000, zipf 0.8; mixed-kind batches through \
-             the cost-based planner, then each structure pinned at S = {max}",
+             the default planner, then each structure pinned at S = {max}",
             max = SHARD_SWEEP[SHARD_SWEEP.len() - 1],
         ),
     );
@@ -113,7 +115,7 @@ fn main() {
     let mut rows = Vec::new();
     for shards in SHARD_SWEEP {
         let svc = Service::build(&d, ServiceConfig::new().shards(shards).threads_per_shard(1));
-        rows.push(run_point(&format!("cost_s{shards}"), &svc, &batch));
+        rows.push(run_point(&format!("default_s{shards}"), &svc, &batch));
     }
     for kind in IndexKind::ALL {
         let shards = SHARD_SWEEP[SHARD_SWEEP.len() - 1];
@@ -164,5 +166,22 @@ fn main() {
         json.push_str("]\n");
         std::fs::write(&path, json)
             .unwrap_or_else(|e| panic!("cannot write BENCH_JSON {path:?}: {e}"));
+    }
+
+    let widest = SHARD_SWEEP[SHARD_SWEEP.len() - 1];
+    let pages = |name: String| {
+        rows.iter()
+            .find(|r| r.name == name)
+            .map(|r| r.pages_per_query)
+            .unwrap_or_else(|| panic!("no {name} row"))
+    };
+    let default = pages(format!("default_s{widest}"));
+    let oif = pages(format!("{}_s{widest}", IndexKind::Oif.name()));
+    if default != oif {
+        eprintln!(
+            "gate: default_s{widest} reads {default:.3} pages/query, \
+             the pinned OIF {oif:.3}"
+        );
+        std::process::exit(1);
     }
 }

@@ -11,7 +11,7 @@
 //! * [`ContainmentIndex`] — evaluate one query (`try_eval_with`, with a
 //!   per-worker [`Scratch`](ContainmentIndex::Scratch)), a parallel batch
 //!   (`try_par_eval`), the pruned superset twin, plus the pager, scrub and
-//!   statistics accessors the measurement and serving layers need.
+//!   size accessors the measurement and serving layers need.
 //! * [`Persist`] — the `persist()`/`open(pager)` pair with the storage
 //!   catalog key each structure keeps its non-paged state under.
 //!
@@ -31,38 +31,6 @@ use crate::index::Oif;
 use crate::query::QueryScratch;
 use datagen::{ItemId, QueryKind};
 use pagestore::{PageError, Pager, ScrubReport, StorageError};
-
-/// Per-item and aggregate statistics of one index structure, feeding the
-/// serving layer's cost-based planner (the paper's §5 discussion: which
-/// structure is cheapest depends on the query's item frequencies).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Postings the index actually stores (and would scan) per item,
-    /// indexed by item id. For the OIF this *excludes* the list suffixes
-    /// replaced by the metadata table (Theorem 1) — the structural reason
-    /// its scans are cheaper on frequent items.
-    pub stored_postings: Vec<u64>,
-    /// Live posting payload bytes across the whole structure.
-    pub list_bytes: u64,
-    /// Structure-specific block count: B⁺-tree blocks for the OIF and the
-    /// unordered B-tree, non-empty lists for the inverted file.
-    pub blocks: u64,
-    /// Total on-disk footprint in bytes.
-    pub bytes_on_disk: u64,
-}
-
-impl IndexStats {
-    /// Average encoded bytes per stored posting (0 when empty) — the
-    /// planner's unit for turning posting counts into page estimates.
-    pub fn bytes_per_posting(&self) -> f64 {
-        let total: u64 = self.stored_postings.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.list_bytes as f64 / total as f64
-        }
-    }
-}
 
 /// One disk-resident set-containment index: the unified query surface of
 /// the OIF, the classic inverted file and the unordered B-tree.
@@ -92,9 +60,6 @@ pub trait ContainmentIndex: Send + Sync {
 
     /// Total on-disk footprint in bytes.
     fn bytes_on_disk(&self) -> u64;
-
-    /// Statistics snapshot for the serving layer's planner.
-    fn stats(&self) -> IndexStats;
 
     /// Evaluate one query of `kind`, surfacing page faults as typed
     /// [`PageError`]s.
@@ -183,7 +148,6 @@ pub trait DynContainmentIndex: Send + Sync {
     fn pager(&self) -> &Pager;
     fn num_records(&self) -> u64;
     fn vocab_size(&self) -> usize;
-    fn stats(&self) -> IndexStats;
     fn try_eval(&self, kind: QueryKind, qs: &[ItemId]) -> Result<Vec<u64>, PageError>;
     fn try_eval_pruned(&self, kind: QueryKind, qs: &[ItemId]) -> Result<Vec<u64>, PageError>;
     fn try_par_eval(
@@ -207,9 +171,6 @@ impl<I: ContainmentIndex> DynContainmentIndex for I {
     }
     fn vocab_size(&self) -> usize {
         ContainmentIndex::vocab_size(self)
-    }
-    fn stats(&self) -> IndexStats {
-        ContainmentIndex::stats(self)
     }
     fn try_eval(&self, kind: QueryKind, qs: &[ItemId]) -> Result<Vec<u64>, PageError> {
         ContainmentIndex::try_eval(self, kind, qs)
@@ -265,17 +226,6 @@ impl ContainmentIndex for Oif {
     }
     fn bytes_on_disk(&self) -> u64 {
         self.tree_pages() * pagestore::PAGE_SIZE as u64
-    }
-    fn stats(&self) -> IndexStats {
-        let stored: Vec<u64> = (0..Oif::vocab_size(self) as u32)
-            .map(|item| self.stored_postings_of(item))
-            .collect();
-        IndexStats {
-            stored_postings: stored,
-            list_bytes: self.space().list_bytes,
-            blocks: self.tree_blocks(),
-            bytes_on_disk: ContainmentIndex::bytes_on_disk(self),
-        }
     }
 
     fn try_eval_with(
@@ -416,15 +366,19 @@ mod tests {
     fn stats_reflect_metadata_savings() {
         let d = dataset();
         let idx = Oif::build(&d);
-        let stats = ContainmentIndex::stats(&idx);
-        assert_eq!(stats.stored_postings.len(), idx.vocab_size());
         // The metadata table drops suffixes: stored postings stay below
-        // the dataset's raw posting count.
-        let raw: u64 = d.supports().iter().sum();
-        let stored: u64 = stats.stored_postings.iter().sum();
+        // the dataset's raw posting count, item by item and in total.
+        let raw = d.supports();
+        let per_item: Vec<u64> = (0..idx.vocab_size() as u32)
+            .map(|item| idx.stored_postings_of(item))
+            .collect();
+        assert!(per_item.iter().zip(&raw).all(|(s, r)| s <= r));
+        let stored = idx.stored_postings();
+        assert_eq!(stored, per_item.iter().sum::<u64>());
+        let raw: u64 = raw.iter().sum();
         assert!(stored < raw, "stored {stored} vs raw {raw}");
-        assert!(stats.bytes_per_posting() > 0.0);
-        assert!(stats.blocks > 0);
-        assert!(stats.bytes_on_disk > 0);
+        assert!(idx.space().list_bytes > 0);
+        assert!(idx.tree_blocks() > 0);
+        assert!(ContainmentIndex::bytes_on_disk(&idx) > 0);
     }
 }

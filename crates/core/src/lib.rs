@@ -55,7 +55,7 @@ pub mod roi;
 pub mod seqform;
 
 pub use block::BlockConfig;
-pub use containment::{ContainmentIndex, DynContainmentIndex, IndexStats, Persist};
+pub use containment::{ContainmentIndex, DynContainmentIndex, Persist};
 pub use delta::DeltaOif;
 pub use index::{Oif, OifBuilder, OifConfig, SpaceBreakdown};
 pub use order::{ItemOrder, Rank};

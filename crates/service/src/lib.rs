@@ -8,16 +8,17 @@
 //!   shards ([`shard_of`]); each shard owns its own buffer pool (and, when
 //!   durable, its own storage file) and hosts up to one index of each
 //!   [`IndexKind`] over its slice.
-//! * **Planning** — a cost-based planner ([`planner`]) picks the cheapest
-//!   structure per query from per-item statistics, or a fixed kind on
-//!   request. Answers never depend on the choice; only pages touched do.
+//! * **Planning** — each shard serves a batch from the fastest structure it
+//!   hosts, by a measured ranking ([`planner`]): the OIF, else the inverted
+//!   file, else the unordered B-tree — or a fixed kind on request. Answers
+//!   never depend on the choice; only cost does.
 //! * **Fan-out / merge** — a batch fans out over every shard (each shard
-//!   evaluating its groups through `try_par_eval`), per-shard `Result`s
-//!   merge into per-query [`QueryResponse`]s: merged sorted ids, typed
-//!   per-shard [`PageError`]s, and a partial-result flag governed by the
-//!   configured error budget. A faulted shard degrades the answer, never
-//!   corrupts it: ids from failed shards are simply absent, and a response
-//!   says so.
+//!   evaluating its predicate groups through `try_par_eval`), per-shard
+//!   `Result`s merge into per-query [`QueryResponse`]s: merged sorted ids,
+//!   typed per-shard [`PageError`]s, and a partial-result flag governed by
+//!   the configured error budget. A faulted shard degrades the answer,
+//!   never corrupts it: ids from failed shards are simply absent, and a
+//!   response says so.
 //! * **Health & fencing** — [`Service::probe`] scrubs every shard (the
 //!   background health probe); a shard whose pool is degraded read-only or
 //!   whose scrub found damage is fenced off the write path while its reads
@@ -34,7 +35,7 @@ mod shard;
 mod sync;
 
 pub use admission::{AdmissionGate, Permit};
-pub use planner::{estimated_pages, IndexKind, PlannerMode};
+pub use planner::{IndexKind, PlannerMode};
 pub use shard::ShardHealth;
 
 use datagen::{Dataset, ItemId, QueryKind, Record};
@@ -60,7 +61,7 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Index structures built on every shard (default: all three).
     pub kinds: Vec<IndexKind>,
-    /// Per-query structure choice (default: cost-based).
+    /// Structure choice per shard (default: the measured ranking).
     pub planner: PlannerMode,
     /// How many shards may fail a query before the response is refused
     /// outright instead of returned partial (default: 0 — any shard error
@@ -103,6 +104,8 @@ pub enum ConfigError {
     ZeroMaxInflight,
     /// `cache_bytes` cannot hold even one page frame.
     CacheTooSmall { bytes: usize, min: usize },
+    /// `kinds` is empty — no structure would answer a query.
+    NoKinds,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -119,6 +122,7 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "config field `cache_bytes` ({bytes}) is below one page frame ({min})"
             ),
+            ConfigError::NoKinds => write!(f, "config field `kinds` must name a structure"),
         }
     }
 }
@@ -147,6 +151,9 @@ impl ServiceConfig {
                 bytes: self.cache_bytes,
                 min: PAGE_SIZE,
             });
+        }
+        if self.kinds.is_empty() {
+            return Err(ConfigError::NoKinds);
         }
         Ok(())
     }
@@ -488,12 +495,16 @@ impl Service {
             .collect()
     }
 
-    /// What the planner would pick on shard `shard` for this query —
-    /// introspection for tests and the bench harness.
-    pub fn planned_kind(&self, shard: usize, kind: QueryKind, qs: &[ItemId]) -> Option<IndexKind> {
-        self.shards[shard]
-            .planner
-            .plan(self.config.planner, kind, qs)
+    /// The structure that serves this query on shard `shard` —
+    /// introspection for tests and the bench harness. The pick is per
+    /// shard, so every query of a batch gets the same answer.
+    pub fn planned_kind(
+        &self,
+        shard: usize,
+        _kind: QueryKind,
+        _qs: &[ItemId],
+    ) -> Option<IndexKind> {
+        self.shards[shard].plan(self.config.planner)
     }
 
     /// High-water mark of shard `i`'s admission gate.
@@ -509,8 +520,9 @@ impl Service {
     }
 
     /// Evaluate a mixed-kind batch: fan out over every shard concurrently
-    /// (each shard groups the batch by planner choice and evaluates groups
-    /// through `try_par_eval`), then merge per query.
+    /// (each shard groups the batch by predicate and evaluates the groups
+    /// on its planned structure through `try_par_eval`), then merge per
+    /// query.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<QueryResponse> {
         if queries.is_empty() {
             return Vec::new();
@@ -683,6 +695,7 @@ mod tests {
                     min: PAGE_SIZE,
                 },
             ),
+            (ServiceConfig::new().kinds(vec![]), ConfigError::NoKinds),
         ];
         for (config, want) in cases {
             assert_eq!(config.validate(), Err(want.clone()));
@@ -772,5 +785,86 @@ mod tests {
             svc.query(QueryKind::Subset, &[0, 3]).ids,
             vec![101, 104, 114, 500]
         );
+    }
+
+    #[test]
+    fn fresh_shards_plan_the_oif_and_inserted_shards_the_inverted_file() {
+        let d = Dataset::paper_fig1();
+        let dir = std::env::temp_dir().join(format!("svc-routing-{}", std::process::id()));
+        let plans = |svc: &Service, s: usize| -> Vec<Option<IndexKind>> {
+            QueryKind::ALL
+                .into_iter()
+                .map(|kind| svc.planned_kind(s, kind, &[0, 3]))
+                .collect()
+        };
+        let oif = vec![Some(IndexKind::Oif); 3];
+        let inv = vec![Some(IndexKind::InvertedFile); 3];
+        let mut svc = Service::build_dir(&d, ServiceConfig::new().shards(2), &dir).unwrap();
+        assert_eq!(plans(&svc, 0), oif);
+        assert_eq!(plans(&svc, 1), oif);
+        svc.try_insert(&[Record::new(200, vec![0, 3])]).unwrap();
+        let touched = svc.shard_for(200);
+        assert_eq!(plans(&svc, touched), inv);
+        assert_eq!(plans(&svc, 1 - touched), oif);
+        svc.persist().unwrap();
+        drop(svc);
+        let svc = Service::open_dir(&dir, ServiceConfig::new()).unwrap();
+        assert_eq!(plans(&svc, touched), inv);
+        assert_eq!(plans(&svc, 1 - touched), oif);
+        assert_eq!(
+            svc.query(QueryKind::Subset, &[0, 3]).ids,
+            vec![101, 104, 114, 200]
+        );
+        drop(svc);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fixed_mode_is_honoured_and_falls_back_in_rank_order() {
+        let d = Dataset::paper_fig1();
+        for k in IndexKind::ALL {
+            let config = ServiceConfig::new().planner(PlannerMode::Fixed(k));
+            let svc = Service::build(&d, config);
+            for s in 0..svc.num_shards() {
+                assert_eq!(svc.planned_kind(s, QueryKind::Superset, &[0]), Some(k));
+            }
+        }
+        let config = ServiceConfig::new()
+            .kinds(vec![IndexKind::UnorderedBTree, IndexKind::InvertedFile])
+            .planner(PlannerMode::Fixed(IndexKind::Oif));
+        let svc = Service::build(&d, config);
+        assert_eq!(
+            svc.planned_kind(0, QueryKind::Subset, &[0]),
+            Some(IndexKind::InvertedFile)
+        );
+        // An insert drops the pinned ablation; its shard falls back to the IF.
+        let config = ServiceConfig::new().planner(PlannerMode::Fixed(IndexKind::UnorderedBTree));
+        let mut svc = Service::build(&d, config);
+        svc.try_insert(&[Record::new(200, vec![0, 3])]).unwrap();
+        assert_eq!(
+            svc.planned_kind(svc.shard_for(200), QueryKind::Equality, &[0, 3]),
+            Some(IndexKind::InvertedFile)
+        );
+    }
+
+    #[test]
+    fn manifest_hosting_no_structure_is_refused() {
+        let d = Dataset::paper_fig1();
+        let svc = Service::build(&d, ServiceConfig::new().shards(2));
+        svc.persist().unwrap();
+        let pagers = || (0..2).map(|s| svc.shard_pager(s).clone()).collect();
+        assert!(Service::open_on(pagers(), ServiceConfig::new()).is_some());
+        let manifest = svc
+            .shard_pager(1)
+            .catalog(shard::SHARD_CATALOG_KEY)
+            .unwrap();
+        // The flags byte ends the manifest: no structure, then an unknown bit.
+        for flags in [0u8, 0b1010] {
+            let mut bad = manifest.clone();
+            *bad.last_mut().unwrap() = flags;
+            svc.shard_pager(1)
+                .put_catalog(shard::SHARD_CATALOG_KEY, &bad);
+            assert!(Service::open_on(pagers(), ServiceConfig::new()).is_none());
+        }
     }
 }

@@ -1,24 +1,18 @@
-//! The cost-based per-query planner.
+//! The measured structure ranking.
 //!
-//! The paper's §5 experiments show no structure dominates: the OIF wins
-//! wherever its ordering restricts the scanned region (supersets, frequent
-//! items trimmed by the metadata table), the unordered B-tree's id-keyed
-//! skip-seeks win sparse intersections, and the plain inverted file's
-//! contiguous whole-list reads win when the lists are short anyway. The
-//! planner turns that observation into a per-query choice: estimate pages
-//! touched per hosted structure from its [`IndexStats`] and pick the
-//! cheapest.
-//!
-//! The estimate is deliberately coarse — per-item list sizes times the
-//! structure's average encoded bytes per posting, plus a flat tree-descent
-//! charge per seek — because the planner only has to rank structures, not
-//! predict absolute I/O. Answers never depend on the choice (all three
-//! structures are exact), so a misprediction costs pages, not correctness;
-//! the service equivalence suite pins that down.
-
-use datagen::{ItemId, QueryKind};
-use oif::IndexStats;
-use pagestore::PAGE_SIZE;
+//! Every hosted structure answers every query exactly, so the choice moves
+//! only cost. The paper's §5 experiments and the service benchmark agree on
+//! the order: the OIF restricts each merge to the region of interest (the
+//! stretch of each list, in its record order, where answers can occur) and
+//! drops the list suffixes its metadata table replaces, while the inverted
+//! file must read whole lists and the unordered B-tree has neither. On the
+//! service benchmark's skewed inputs the OIF beat the inverted file on
+//! every superset and, on average, on subsets and equalities too, and a
+//! per-query oracle picking the fastest structure gained little over
+//! OIF-only (figures in `CHANGES.md`). So a shard serves a whole batch
+//! from the first structure of [`IndexKind::ALL`] it hosts — the OIF, else
+//! the inverted file, else the ablation — unless [`PlannerMode::Fixed`]
+//! pins one.
 
 /// Which index structure serves a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,7 +26,7 @@ pub enum IndexKind {
 }
 
 impl IndexKind {
-    /// All kinds, in the service's tie-break preference order.
+    /// All kinds, fastest first: the order [`PlannerMode::Cost`] ranks by.
     pub const ALL: [IndexKind; 3] = [
         IndexKind::Oif,
         IndexKind::InvertedFile,
@@ -47,252 +41,64 @@ impl IndexKind {
             IndexKind::UnorderedBTree => "ubtree",
         }
     }
-
-    pub(crate) fn slot(self) -> usize {
-        match self {
-            IndexKind::Oif => 0,
-            IndexKind::InvertedFile => 1,
-            IndexKind::UnorderedBTree => 2,
-        }
-    }
 }
 
-/// How the service picks a structure per query.
+/// How a shard picks the structure that serves a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMode {
-    /// Cost-based: cheapest estimated page count among the hosted kinds.
+    /// The measured ranking: the first hosted kind of [`IndexKind::ALL`].
+    /// The ranking is measured once, not estimated per query.
     Cost,
-    /// Always the given kind (falls back to the cost choice on shards not
-    /// hosting it — e.g. after maintenance dropped a stale structure).
+    /// Always the given kind (falls back to the measured ranking on shards
+    /// not hosting it — e.g. after an insert dropped a stale structure).
     Fixed(IndexKind),
 }
 
-/// Flat page charge for one block-tree root-to-leaf descent.
-const SEEK_PAGES: f64 = 2.0;
-
-/// Estimated pages the list of `item` occupies in a structure with the
-/// given stats (0 for absent lists: nothing to scan).
-fn list_pages(stats: &IndexStats, item: ItemId) -> f64 {
-    let n = stats
-        .stored_postings
-        .get(item as usize)
-        .copied()
-        .unwrap_or(0);
-    if n == 0 {
-        return 0.0;
-    }
-    (n as f64 * stats.bytes_per_posting() / PAGE_SIZE as f64)
-        .ceil()
-        .max(1.0)
-}
-
-/// Index of the query item with the smallest stored list.
-fn rarest(stats: &IndexStats, qs: &[ItemId]) -> ItemId {
-    qs.iter()
-        .copied()
-        .min_by_key(|&i| stats.stored_postings.get(i as usize).copied().unwrap_or(0))
-        .expect("non-empty query")
-}
-
-/// Estimated pages structure `kind` touches answering a `qkind` query over
-/// `qs`, given that structure's stats.
-pub fn estimated_pages(
-    kind: IndexKind,
-    stats: &IndexStats,
-    qkind: QueryKind,
-    qs: &[ItemId],
-) -> f64 {
-    if qs.is_empty() {
-        return 0.0;
-    }
-    let all_lists: f64 = qs.iter().map(|&i| list_pages(stats, i)).sum();
-    match kind {
-        // Whole-list retrieval, always, for every predicate (§2: "there is
-        // no way to retrieve a part of the inverted list") — but no tree to
-        // descend: the vocabulary directory is memory resident.
-        IndexKind::InvertedFile => all_lists,
-        IndexKind::Oif => match qkind {
-            // The RoI restricts the merge to the region where all query
-            // items can co-occur; the rarest item's (already
-            // metadata-trimmed) list bounds the work.
-            QueryKind::Subset | QueryKind::Equality => {
-                SEEK_PAGES * qs.len() as f64 + list_pages(stats, rarest(stats, qs))
-            }
-            // Supersets must scan each query item's stored list — but the
-            // OIF's stored lists exclude the metadata-table suffixes, which
-            // is exactly where it beats the other two on frequent items.
-            QueryKind::Superset => SEEK_PAGES * qs.len() as f64 + all_lists,
-        },
-        IndexKind::UnorderedBTree => match qkind {
-            // Scan the rarest list, then skip-seek each candidate into the
-            // other lists: per list, at most one descent per candidate,
-            // never more than scanning the list outright.
-            QueryKind::Subset | QueryKind::Equality => {
-                let r = rarest(stats, qs);
-                let cand = stats.stored_postings.get(r as usize).copied().unwrap_or(0) as f64;
-                let others: f64 = qs
-                    .iter()
-                    .filter(|&&i| i != r)
-                    .map(|&i| list_pages(stats, i).min(SEEK_PAGES * cand))
-                    .sum();
-                SEEK_PAGES + list_pages(stats, r) + others
-            }
-            // "The scanning of the whole lists cannot be avoided" (§5) —
-            // and unlike the OIF there is no metadata trimming.
-            QueryKind::Superset => SEEK_PAGES * qs.len() as f64 + all_lists,
-        },
-    }
-}
-
-/// Per-shard planner state: one stats snapshot per hosted structure.
-#[derive(Debug, Default)]
-pub(crate) struct ShardPlanner {
-    stats: [Option<IndexStats>; 3],
-}
-
-impl ShardPlanner {
-    pub(crate) fn set(&mut self, kind: IndexKind, stats: IndexStats) {
-        self.stats[kind.slot()] = Some(stats);
-    }
-
-    pub(crate) fn clear(&mut self, kind: IndexKind) {
-        self.stats[kind.slot()] = None;
-    }
-
-    pub(crate) fn hosts(&self, kind: IndexKind) -> bool {
-        self.stats[kind.slot()].is_some()
-    }
-
-    /// Pick the structure for one query; `None` when the shard hosts no
-    /// structure at all (an empty shard). Ties go to the earlier entry of
-    /// [`IndexKind::ALL`] — the OIF, then the IF, then the ablation.
-    pub(crate) fn plan(
-        &self,
-        mode: PlannerMode,
-        qkind: QueryKind,
-        qs: &[ItemId],
-    ) -> Option<IndexKind> {
-        if let PlannerMode::Fixed(k) = mode {
-            if self.hosts(k) {
-                return Some(k);
-            }
+/// The kind serving a batch on a shard that hosts exactly the kinds
+/// `hosts` accepts; `None` when it hosts none.
+pub(crate) fn plan(mode: PlannerMode, hosts: impl Fn(IndexKind) -> bool) -> Option<IndexKind> {
+    if let PlannerMode::Fixed(k) = mode {
+        if hosts(k) {
+            return Some(k);
         }
-        let mut best: Option<(IndexKind, f64)> = None;
-        for kind in IndexKind::ALL {
-            let Some(stats) = &self.stats[kind.slot()] else {
-                continue;
-            };
-            let cost = estimated_pages(kind, stats, qkind, qs);
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((kind, cost));
-            }
-        }
-        best.map(|(k, _)| k)
     }
+    IndexKind::ALL.into_iter().find(|&k| hosts(k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Stats with explicit per-item posting counts and 8 encoded bytes per
-    /// posting (so `PAGE_SIZE / 8` postings fill one page).
-    fn stats(postings: &[u64]) -> IndexStats {
-        let total: u64 = postings.iter().sum();
-        IndexStats {
-            stored_postings: postings.to_vec(),
-            list_bytes: total * 8,
-            blocks: 1,
-            bytes_on_disk: total * 8,
-        }
-    }
-
-    fn planner(oif: &[u64], inv: &[u64], ub: &[u64]) -> ShardPlanner {
-        let mut p = ShardPlanner::default();
-        p.set(IndexKind::Oif, stats(oif));
-        p.set(IndexKind::InvertedFile, stats(inv));
-        p.set(IndexKind::UnorderedBTree, stats(ub));
-        p
-    }
-
-    /// A page's worth of postings at 8 bytes each.
-    const PAGE: u64 = (PAGE_SIZE / 8) as u64;
-
     #[test]
-    fn oif_wins_supersets_on_trimmed_frequent_items() {
-        // The raw structures store 40 pages per frequent item; the OIF's
-        // metadata table trimmed its lists to 1 page each.
-        let p = planner(
-            &[PAGE, PAGE],
-            &[40 * PAGE, 40 * PAGE],
-            &[40 * PAGE, 40 * PAGE],
-        );
+    fn fixed_mode_obeys_and_falls_back() {
+        let all = |_| true;
+        for k in IndexKind::ALL {
+            assert_eq!(plan(PlannerMode::Fixed(k), all), Some(k));
+        }
+        // Not hosted: fall back in `IndexKind::ALL` order.
+        let no_ub = |k| k != IndexKind::UnorderedBTree;
         assert_eq!(
-            p.plan(PlannerMode::Cost, QueryKind::Superset, &[0, 1]),
+            plan(PlannerMode::Fixed(IndexKind::UnorderedBTree), no_ub),
             Some(IndexKind::Oif)
         );
-    }
-
-    #[test]
-    fn inverted_file_wins_short_lists() {
-        // Every list fits in one page: the IF pays 2 pages total while the
-        // tree-based structures pay descents on top.
-        let p = planner(&[PAGE, PAGE], &[1, 1], &[1, 1]);
+        let if_only = |k| k == IndexKind::InvertedFile;
         assert_eq!(
-            p.plan(PlannerMode::Cost, QueryKind::Superset, &[0, 1]),
+            plan(PlannerMode::Fixed(IndexKind::Oif), if_only),
             Some(IndexKind::InvertedFile)
         );
     }
 
     #[test]
-    fn ubtree_wins_sparse_intersections() {
-        // An empty rarest list kills the intersection after one descent:
-        // the UB pays ~2 pages; the OIF still charges a descent per query
-        // item, and the IF scans the huge lists outright.
-        let p = planner(
-            &[0, 300 * PAGE, 300 * PAGE],
-            &[0, 300 * PAGE, 300 * PAGE],
-            &[0, 300 * PAGE, 300 * PAGE],
-        );
-        assert_eq!(
-            p.plan(PlannerMode::Cost, QueryKind::Subset, &[0, 1, 2]),
-            Some(IndexKind::UnorderedBTree)
-        );
-    }
-
-    #[test]
-    fn fixed_mode_obeys_and_falls_back() {
-        let mut p = planner(&[PAGE], &[PAGE], &[PAGE]);
-        assert_eq!(
-            p.plan(
-                PlannerMode::Fixed(IndexKind::UnorderedBTree),
-                QueryKind::Subset,
-                &[0]
-            ),
-            Some(IndexKind::UnorderedBTree)
-        );
-        p.clear(IndexKind::UnorderedBTree);
-        let fallback = p
-            .plan(
-                PlannerMode::Fixed(IndexKind::UnorderedBTree),
-                QueryKind::Subset,
-                &[0],
-            )
-            .unwrap();
-        assert_ne!(fallback, IndexKind::UnorderedBTree);
-    }
-
-    #[test]
     fn empty_shard_plans_nothing_and_ties_prefer_oif() {
-        let empty = ShardPlanner::default();
-        assert_eq!(empty.plan(PlannerMode::Cost, QueryKind::Subset, &[0]), None);
-        // Identical stats everywhere: tie-break lands on the OIF for
-        // supersets (equal cost with the UB; the IF is cheaper here though
-        // — so use a case where all three tie: empty query).
-        let p = planner(&[PAGE], &[PAGE], &[PAGE]);
+        assert_eq!(plan(PlannerMode::Cost, |_| false), None);
+        assert_eq!(plan(PlannerMode::Cost, |_| true), Some(IndexKind::Oif));
         assert_eq!(
-            p.plan(PlannerMode::Cost, QueryKind::Subset, &[]),
-            Some(IndexKind::Oif)
+            plan(PlannerMode::Cost, |k| k != IndexKind::Oif),
+            Some(IndexKind::InvertedFile)
+        );
+        assert_eq!(
+            plan(PlannerMode::Cost, |k| k == IndexKind::UnorderedBTree),
+            Some(IndexKind::UnorderedBTree)
         );
     }
 }

@@ -1,12 +1,13 @@
-//! One shard: its pager, its hosted index structures, its planner state
-//! and its admission gate.
+//! One shard: its pager, its hosted index structures and its admission
+//! gate.
 //!
-//! A shard owns one buffer pool ([`Pager`]) and hosts up to one index of
-//! each [`IndexKind`] over the shard's slice of the record set — all three
-//! structures coexist in the one pool under distinct catalog keys, so a
-//! durable shard is exactly one storage file. Query batches are grouped by
-//! the planner's structure choice and fanned out through the chosen
-//! structure's `ContainmentIndex::try_par_eval`.
+//! A shard owns one buffer pool ([`Pager`]) and hosts at least one and up
+//! to one index of each [`IndexKind`] over the shard's slice of the record
+//! set — all three structures coexist in the one pool under distinct
+//! catalog keys, so a durable shard is exactly one storage file. A query
+//! batch is served from one structure, the planner's pick for the shard,
+//! grouped by predicate and fanned out through that structure's
+//! `try_par_eval`.
 //!
 //! Writes go through the inverted file (the only structure with a §4.4
 //! maintenance path). An insert leaves the OIF and the unordered B-tree
@@ -16,12 +17,12 @@
 //! refresh the ordered structure; between rebuilds the IF carries updates.
 
 use crate::admission::AdmissionGate;
-use crate::planner::{IndexKind, PlannerMode, ShardPlanner};
+use crate::planner::{self, IndexKind, PlannerMode};
 use crate::sync::Mutex;
 use crate::Query;
-use datagen::{Dataset, Record};
+use datagen::{Dataset, QueryKind, Record};
 use invfile::InvertedFile;
-use oif::{ContainmentIndex, Oif, Persist};
+use oif::{DynContainmentIndex, Oif, Persist};
 use pagestore::ser::{Reader, Writer};
 use pagestore::{PageError, Pager, RawFile, ScrubReport, StorageError, Wal};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +52,6 @@ pub(crate) struct Shard {
     pub(crate) oif: Option<Oif>,
     pub(crate) inv: Option<InvertedFile>,
     pub(crate) ub: Option<UnorderedBTree>,
-    pub(crate) planner: ShardPlanner,
     pub(crate) gate: AdmissionGate,
     pub(crate) num_records: u64,
     pub(crate) max_id: u64,
@@ -89,7 +89,6 @@ impl Shard {
             oif: None,
             inv: None,
             ub: None,
-            planner: ShardPlanner::default(),
             gate: AdmissionGate::new(gate_capacity),
             num_records: sub.records.len() as u64,
             max_id: sub.records.iter().map(|r| r.id).max().unwrap_or(0),
@@ -101,19 +100,13 @@ impl Shard {
         for &kind in kinds {
             match kind {
                 IndexKind::Oif => {
-                    let idx = Oif::builder(sub).pager(pager.clone()).build();
-                    shard.planner.set(kind, ContainmentIndex::stats(&idx));
-                    shard.oif = Some(idx);
+                    shard.oif = Some(Oif::builder(sub).pager(pager.clone()).build());
                 }
                 IndexKind::InvertedFile => {
-                    let idx = InvertedFile::builder(sub).pager(pager.clone()).build();
-                    shard.planner.set(kind, ContainmentIndex::stats(&idx));
-                    shard.inv = Some(idx);
+                    shard.inv = Some(InvertedFile::builder(sub).pager(pager.clone()).build());
                 }
                 IndexKind::UnorderedBTree => {
-                    let idx = UnorderedBTree::builder(sub).pager(pager.clone()).build();
-                    shard.planner.set(kind, ContainmentIndex::stats(&idx));
-                    shard.ub = Some(idx);
+                    shard.ub = Some(UnorderedBTree::builder(sub).pager(pager.clone()).build());
                 }
             }
         }
@@ -135,62 +128,57 @@ impl Shard {
         None
     }
 
-    pub(crate) fn hosts(&self, kind: IndexKind) -> bool {
-        self.planner.hosts(kind)
+    /// The hosted structure of `kind`, if any.
+    fn structure(&self, kind: IndexKind) -> Option<&dyn DynContainmentIndex> {
+        match kind {
+            IndexKind::Oif => self.oif.as_ref().map(|i| i as &dyn DynContainmentIndex),
+            IndexKind::InvertedFile => self.inv.as_ref().map(|i| i as &dyn DynContainmentIndex),
+            IndexKind::UnorderedBTree => self.ub.as_ref().map(|i| i as &dyn DynContainmentIndex),
+        }
     }
 
-    /// Evaluate the whole batch against this shard: plan each query, group
-    /// by chosen structure, fan each group out over `threads` workers, and
-    /// scatter the per-query results back into input order.
+    pub(crate) fn hosts(&self, kind: IndexKind) -> bool {
+        self.structure(kind).is_some()
+    }
+
+    /// The structure that serves this shard's share of every batch.
+    pub(crate) fn plan(&self, mode: PlannerMode) -> Option<IndexKind> {
+        planner::plan(mode, |k| self.hosts(k))
+    }
+
+    /// Evaluate the whole batch against this shard's planned structure:
+    /// group by predicate (batch order within a group), fan each group out
+    /// over `threads` workers, and scatter the per-query results back into
+    /// input order.
     pub(crate) fn eval_batch(
         &self,
         queries: &[Query],
         mode: PlannerMode,
         threads: usize,
     ) -> Vec<Result<Vec<u64>, PageError>> {
-        let choices: Vec<Option<IndexKind>> = queries
-            .iter()
-            .map(|q| self.planner.plan(mode, q.kind, &q.qs))
-            .collect();
+        // Construction refuses a shard without structures (empty `kinds`,
+        // empty manifest flags) and inserts keep the inverted file.
+        let idx = self
+            .plan(mode)
+            .and_then(|k| self.structure(k))
+            .expect("every shard hosts a structure");
         let mut out: Vec<Option<Result<Vec<u64>, PageError>>> = Vec::new();
         out.resize_with(queries.len(), || None);
-        // An empty shard hosts nothing: every answer is the empty set.
-        for (slot, choice) in out.iter_mut().zip(&choices) {
-            if choice.is_none() {
-                *slot = Some(Ok(Vec::new()));
+        for qkind in QueryKind::ALL {
+            let group: Vec<usize> = (0..queries.len())
+                .filter(|&j| queries[j].kind == qkind)
+                .collect();
+            if group.is_empty() {
+                continue;
             }
-        }
-        for ikind in IndexKind::ALL {
-            for qkind in datagen::QueryKind::ALL {
-                let group: Vec<usize> = (0..queries.len())
-                    .filter(|&j| choices[j] == Some(ikind) && queries[j].kind == qkind)
-                    .collect();
-                if group.is_empty() {
-                    continue;
-                }
-                let qs: Vec<Vec<datagen::ItemId>> =
-                    group.iter().map(|&j| queries[j].qs.clone()).collect();
-                let results = match ikind {
-                    IndexKind::Oif => {
-                        let idx = self.oif.as_ref().expect("planner only picks hosted kinds");
-                        ContainmentIndex::try_par_eval(idx, qkind, &qs, threads)
-                    }
-                    IndexKind::InvertedFile => {
-                        let idx = self.inv.as_ref().expect("planner only picks hosted kinds");
-                        ContainmentIndex::try_par_eval(idx, qkind, &qs, threads)
-                    }
-                    IndexKind::UnorderedBTree => {
-                        let idx = self.ub.as_ref().expect("planner only picks hosted kinds");
-                        ContainmentIndex::try_par_eval(idx, qkind, &qs, threads)
-                    }
-                };
-                for (&j, r) in group.iter().zip(results) {
-                    out[j] = Some(r);
-                }
+            let qs: Vec<Vec<datagen::ItemId>> =
+                group.iter().map(|&j| queries[j].qs.clone()).collect();
+            for (&j, r) in group.iter().zip(idx.try_par_eval(qkind, &qs, threads)) {
+                out[j] = Some(r);
             }
         }
         out.into_iter()
-            .map(|r| r.expect("every query planned or defaulted"))
+            .map(|r| r.expect("every predicate group evaluated"))
             .collect()
     }
 
@@ -311,9 +299,10 @@ impl Shard {
     }
 
     /// Fallible twin of [`Shard::apply_insert`], staging list rewrites
-    /// across `threads` workers. On error no statistic or planner state has changed — the
-    /// inverted file's two-phase batch leaves reads exact — so the shard
-    /// keeps serving while the caller surfaces the typed fault.
+    /// across `threads` workers. On error no statistic or hosted structure
+    /// has changed — the inverted file's two-phase batch leaves reads
+    /// exact — so the shard keeps serving while the caller surfaces the
+    /// typed fault.
     pub(crate) fn try_apply_insert(
         &mut self,
         batch: &[Record],
@@ -323,14 +312,8 @@ impl Shard {
         inv.try_batch_insert(batch, threads)?;
         self.max_id = batch.last().expect("non-empty batch").id;
         self.num_records += batch.len() as u64;
-        self.planner
-            .set(IndexKind::InvertedFile, ContainmentIndex::stats(inv));
-        if self.oif.take().is_some() {
-            self.planner.clear(IndexKind::Oif);
-        }
-        if self.ub.take().is_some() {
-            self.planner.clear(IndexKind::UnorderedBTree);
-        }
+        self.oif = None;
+        self.ub = None;
         Ok(())
     }
 
@@ -372,6 +355,8 @@ impl Shard {
 
     /// Reopen shard `id` from a pager holding a persisted image; returns
     /// the shard plus the stored total shard count for cross-checking.
+    /// A manifest whose flags host no structure, or carry bits no kind
+    /// owns, is refused: such a shard could only answer wrongly.
     pub(crate) fn open(id: usize, pager: Pager, gate_capacity: usize) -> Option<(Shard, usize)> {
         let state = pager.catalog(SHARD_CATALOG_KEY)?;
         let mut r = Reader::new(&state);
@@ -386,7 +371,7 @@ impl Shard {
         let max_id = r.u64()?;
         let vocab_size = usize::try_from(r.u64()?).ok()?;
         let flags = r.u8()?;
-        if !r.is_exhausted() {
+        if !r.is_exhausted() || flags == 0 || flags & !0b111 != 0 {
             return None;
         }
         let mut shard = Shard {
@@ -395,7 +380,6 @@ impl Shard {
             oif: None,
             inv: None,
             ub: None,
-            planner: ShardPlanner::default(),
             gate: AdmissionGate::new(gate_capacity),
             num_records,
             max_id,
@@ -405,25 +389,13 @@ impl Shard {
             wal: None,
         };
         if flags & 1 != 0 {
-            let idx = Oif::open(pager.clone())?;
-            shard
-                .planner
-                .set(IndexKind::Oif, ContainmentIndex::stats(&idx));
-            shard.oif = Some(idx);
+            shard.oif = Some(Oif::open(pager.clone())?);
         }
         if flags & 2 != 0 {
-            let idx = InvertedFile::open(pager.clone())?;
-            shard
-                .planner
-                .set(IndexKind::InvertedFile, ContainmentIndex::stats(&idx));
-            shard.inv = Some(idx);
+            shard.inv = Some(InvertedFile::open(pager.clone())?);
         }
         if flags & 4 != 0 {
-            let idx = UnorderedBTree::open(pager.clone())?;
-            shard
-                .planner
-                .set(IndexKind::UnorderedBTree, ContainmentIndex::stats(&idx));
-            shard.ub = Some(idx);
+            shard.ub = Some(UnorderedBTree::open(pager.clone())?);
         }
         Some((shard, shards))
     }
